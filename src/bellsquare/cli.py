@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .hv_models import (
@@ -202,11 +203,7 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
         results["bounds"][variant] = entry
 
     chain = chain_inequality_scan()
-    results["chain_inequality"] = {
-        "all_hold": chain.all_hold,
-        "identities_hold": chain.identities_hold,
-        "models_scanned": chain.models_scanned,
-    }
+    results["chain_inequality"] = asdict(chain)
     passed &= chain.all_hold
 
     if args.variant == "both":
@@ -220,20 +217,7 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
             signed_bound=scans["signed"],
             abs_bound=scans["abs"],
         )
-        results["gap_report"] = {
-            "chi_quantum": gap.chi_quantum,
-            "omega_quantum": gap.omega_quantum,
-            "noncontextual_chi_bound": gap.noncontextual_chi_bound,
-            "first_measurement_bound": gap.first_measurement_bound,
-            "omega_bound_signed": gap.omega_bound_signed,
-            "omega_bound_abs": gap.omega_bound_abs,
-            "chi_gap": gap.chi_gap,
-            "signed_gap": gap.signed_gap,
-            "gaps_equal": gap.gaps_equal,
-            "abs_gap": gap.abs_gap,
-            "abs_variant_reaches_quantum_value": gap.abs_variant_reaches_quantum_value,
-            "note": gap.note,
-        }
+        results["gap_report"] = asdict(gap)
         passed &= chi_b.max_value == 4.0 and first_mb.max_value == 4.0 and gap.gaps_equal
 
     if args.relaxed:
@@ -255,17 +239,7 @@ def cmd_sweep(args) -> tuple[dict, bool]:
     grid = _parse_grid(args.grid)
     variant = "signed" if args.variant == "both" else args.variant
     result = sweep(grid, variant)
-    rows = [
-        {
-            "visibility": r.visibility,
-            "chi": r.chi,
-            "s_abs": r.s_abs,
-            "s_signed": r.s_signed,
-            "omega_abs": r.omega_abs,
-            "omega_signed": r.omega_signed,
-        }
-        for r in result.rows
-    ]
+    rows = [asdict(r) for r in result.rows]
     chi_measured = result.rows[0].chi
     results = {
         "variant": variant,

@@ -1,6 +1,6 @@
 """Exhaustive enumeration of deterministic hidden-variable models.
 
-Three model classes are scanned:
+Four model classes are scanned:
 
 * Context-free ±1 assignments to the nine Alice observables (2^9 models):
   the chi expression is bounded by 4.
@@ -14,23 +14,33 @@ Three model classes are scanned:
   no dependence on Alice's choice.  The signed omega is bounded by 16,
   while the absolute-value variant reaches 18 — equal to the quantum
   value — which is why the toolkit reports both variants everywhere.
+* The same models with leader sharing dropped (2^24): each sequence picks
+  its leading outcome on its own and the signed maximum rises to 18.
 
 Mixtures of deterministic models need no separate scan: omega is linear
 (signed) or convex (abs) in the model distribution, so the maximum over
 probabilistic local models is attained at a deterministic vertex.
 
-The 2^21 scan is the hot loop: models are integers whose bits are outcome
-signs, each term is an XOR of two or three bit positions, and whole index
-ranges are evaluated as vectorized integer arrays.  Partitioned scans
-merge deterministically (global max, lowest witness index), so results
-are bit-identical for any worker count.
+A model is an integer whose bits are outcome signs (0 is +1, 1 is -1).
+Each class is one term table, a ``_Layout``: its number of bits and its
+chi and S terms as ``(sign, bit positions)`` pairs, so every term is the
+XOR of its bits.  One kernel evaluates any layout over an index range in
+vectorized chunks and returns the maximum with its lowest attaining
+indices; every bound is a call of it.  Partitioned scans merge
+deterministically (global max, lowest witness index), so results are
+bit-identical for any worker count, and the process pool never gets more
+workers than the machine has CPUs.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
+from functools import partial
+from numbers import Integral
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -52,56 +62,47 @@ N_RELAXED_MODELS = 1 << N_RELAXED_BITS
 
 _SCAN_CHUNK = 1 << 20
 
-# --- constrained bit layout -------------------------------------------------
-# bits 0-2: shared leader values (A, b, γ); bits 3-14: slot 2 and slot 3 of
-# each sequence in SEQUENCE_ORDER; bits 15-20: Bob outcomes in BOB_LABELS
-# order.  Bit value 0 encodes outcome +1, bit 1 encodes -1.
 
-_FIRST_BIT = {seq: SEQUENCE_LEADERS.index(SEQUENCES[seq][0]) for seq in SEQUENCE_ORDER}
-_LATER_BIT = {
-    (seq, pos): 3 + 2 * i + (pos - 2)
-    for i, seq in enumerate(SEQUENCE_ORDER)
-    for pos in (2, 3)
+class _Layout(NamedTuple):
+    """Term table of one model class; each term is (sign, bit positions)."""
+
+    n_bits: int
+    chi: tuple[tuple[int, tuple[int, ...]], ...]
+    s: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _layout(bit: Mapping, s_terms=S_TERMS) -> _Layout:
+    """Layout from the bit of each sequence slot (seq, pos) and Bob label."""
+    return _Layout(
+        n_bits=len(set(bit.values())),
+        chi=tuple(
+            (CHI_SIGNS[seq], tuple(bit[seq, pos] for pos in (1, 2, 3)))
+            for seq in SEQUENCE_ORDER
+        ),
+        s=tuple((t.sign, (bit[t.sequence, t.position], bit[t.bob])) for t in s_terms),
+    )
+
+
+# Local contextual models: bits 0-2 are the shared leader values (A, b, γ);
+# bits 3-14 slot 2 and slot 3 of each sequence in SEQUENCE_ORDER; bits
+# 15-20 Bob outcomes in BOB_LABELS order.
+_MODEL_BIT = {
+    **{(seq, 1): SEQUENCE_LEADERS.index(SEQUENCES[seq][0]) for seq in SEQUENCE_ORDER},
+    **{(seq, pos): 3 + 2 * i + (pos - 2) for i, seq in enumerate(SEQUENCE_ORDER) for pos in (2, 3)},
+    **{label: 15 + j for j, label in enumerate(BOB_LABELS)},
 }
-_BOB_BIT = {label: 15 + j for j, label in enumerate(BOB_LABELS)}
-
-
-def _alice_bit(seq: str, pos: int) -> int:
-    return _FIRST_BIT[seq] if pos == 1 else _LATER_BIT[seq, pos]
-
-
-_CHI_BITS = tuple(
-    (CHI_SIGNS[seq], (_alice_bit(seq, 1), _alice_bit(seq, 2), _alice_bit(seq, 3)))
-    for seq in SEQUENCE_ORDER
-)
-_S_BITS = tuple(
-    (t.sign, (_alice_bit(t.sequence, t.position), _BOB_BIT[t.bob])) for t in S_TERMS
-)
+# No leader sharing: bits 0-17 the three slots of each sequence, 18-23 Bob.
+_RELAXED_BIT = {
+    **{(seq, pos): 3 * i + (pos - 1) for i, seq in enumerate(SEQUENCE_ORDER) for pos in (1, 2, 3)},
+    **{label: 18 + j for j, label in enumerate(BOB_LABELS)},
+}
+_CONSTRAINED = _layout(_MODEL_BIT)
+_RELAXED = _layout(_RELAXED_BIT)
 
 # Bob partner of each sequence slot (used by the chain inequality).
 _SEQ_BOB: dict[str, dict[int, str]] = {}
 for _t in S_TERMS:
     _SEQ_BOB.setdefault(_t.sequence, {})[_t.position] = _t.bob
-
-# --- relaxed (no leader sharing) layout: 18 Alice slot bits + 6 Bob bits ----
-
-_RELAXED_ALICE_BIT = {
-    (seq, pos): 3 * i + (pos - 1)
-    for i, seq in enumerate(SEQUENCE_ORDER)
-    for pos in (1, 2, 3)
-}
-_RELAXED_BOB_BIT = {label: 18 + j for j, label in enumerate(BOB_LABELS)}
-_RELAXED_CHI_BITS = tuple(
-    (
-        CHI_SIGNS[seq],
-        tuple(_RELAXED_ALICE_BIT[seq, pos] for pos in (1, 2, 3)),
-    )
-    for seq in SEQUENCE_ORDER
-)
-_RELAXED_S_BITS = tuple(
-    (t.sign, (_RELAXED_ALICE_BIT[t.sequence, t.position], _RELAXED_BOB_BIT[t.bob]))
-    for t in S_TERMS
-)
 
 
 @dataclass(frozen=True)
@@ -230,11 +231,11 @@ def decode_model(index: int) -> HVModel:
         return 1 - 2 * ((index >> bit) & 1)
 
     alice = {
-        (seq, pos): sign(_alice_bit(seq, pos))
+        (seq, pos): sign(_MODEL_BIT[seq, pos])
         for seq in SEQUENCE_ORDER
         for pos in (1, 2, 3)
     }
-    bob = {label: sign(_BOB_BIT[label]) for label in BOB_LABELS}
+    bob = {label: sign(_MODEL_BIT[label]) for label in BOB_LABELS}
     return HVModel(alice=alice, bob=bob)
 
 
@@ -243,10 +244,10 @@ def encode_model(model: HVModel) -> int:
     for seq in SEQUENCE_ORDER:
         for pos in (1, 2, 3):
             if model.alice[seq, pos] == -1:
-                index |= 1 << _alice_bit(seq, pos)
+                index |= 1 << _MODEL_BIT[seq, pos]
     for label in BOB_LABELS:
         if model.bob[label] == -1:
-            index |= 1 << _BOB_BIT[label]
+            index |= 1 << _MODEL_BIT[label]
     return index
 
 
@@ -260,29 +261,34 @@ class BoundResult:
     models_scanned: int
 
 
-def _context_free_bound(variant: str, labels, max_witnesses: int) -> BoundResult:
-    labels = tuple(labels)
-    relabel = _IDENTITY_RELABEL if frozenset(labels) == _ALICE_KEYSET else _BOB_SIDE_RELABEL
-    idx = np.arange(512, dtype=np.uint32)
-    values = np.zeros(512, dtype=np.int16)
-    for seq in SEQUENCE_ORDER:
-        acc = np.zeros(512, dtype=np.uint32)
-        for member in SEQUENCES[seq]:
-            acc = acc ^ (idx >> labels.index(relabel[member]))
-        values += CHI_SIGNS[seq] * (1 - 2 * (acc & 1).astype(np.int16))
+def _positive_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
-    best = int(values.max())
-    witnesses = []
-    for i in np.flatnonzero(values == best)[:max_witnesses]:
-        assignment = {
-            label: 1 - 2 * ((int(i) >> j) & 1) for j, label in enumerate(labels)
-        }
-        witnesses.append(NoncontextualAssignment(values=assignment))
+
+def _context_free_bound(variant: str, labels, max_witnesses: int) -> BoundResult:
+    max_witnesses = _positive_int("max_witnesses", max_witnesses)
+    relabel = _IDENTITY_RELABEL if frozenset(labels) == _ALICE_KEYSET else _BOB_SIDE_RELABEL
+    bit = {
+        (seq, pos): labels.index(relabel[member])
+        for seq in SEQUENCE_ORDER
+        for pos, member in enumerate(SEQUENCES[seq], 1)
+    }
+    layout = _layout(bit, s_terms=())
+    n_models = 1 << layout.n_bits
+    best, found = _scan(layout, "signed", 0, n_models, max_witnesses)
+    witnesses = tuple(
+        NoncontextualAssignment(
+            values={label: 1 - 2 * ((i >> j) & 1) for j, label in enumerate(labels)}
+        )
+        for i in found
+    )
     return BoundResult(
         variant=variant,
         max_value=float(best),
-        argmax_models=tuple(witnesses),
-        models_scanned=512,
+        argmax_models=witnesses,
+        models_scanned=n_models,
     )
 
 
@@ -309,41 +315,41 @@ def _xor_bits(idx: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
     return (acc & np.uint32(1)).astype(np.int16)
 
 
-def _chi_values(idx: np.ndarray, chi_bits=_CHI_BITS) -> np.ndarray:
+def _omega_values(idx: np.ndarray, variant: str, layout: _Layout) -> np.ndarray:
+    """Omega of each model index in ``idx`` under ``layout``."""
+    terms = layout.chi if variant == "abs" else layout.chi + layout.s
     total = np.zeros(idx.shape, dtype=np.int16)
-    for sign, bits in chi_bits:
+    for sign, bits in terms:
         total += sign * (1 - 2 * _xor_bits(idx, bits))
-    return total
-
-
-def _omega_values(idx: np.ndarray, variant: str, chi_bits=_CHI_BITS, s_bits=_S_BITS) -> np.ndarray:
-    total = _chi_values(idx, chi_bits)
     if variant == "abs":
-        # Every deterministic correlator has |value| = 1, so S_abs = 12.
-        total += len(s_bits)
-        return total
-    for sign, bits in s_bits:
-        total += sign * (1 - 2 * _xor_bits(idx, bits))
+        # Every deterministic correlator has |value| = 1, so S_abs = len(s).
+        total += len(layout.s)
     return total
 
 
-def _scan_range(lo: int, hi: int, variant: str) -> tuple[int, int]:
-    """Max omega and lowest attaining index over model indices [lo, hi)."""
-    best = None
-    best_index = None
+def _chunks(lo: int, hi: int):
+    """Yield (start, indices) for model indices [lo, hi) in scan chunks."""
     for start in range(lo, hi, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, hi)
-        idx = np.arange(start, stop, dtype=np.uint32)
-        values = _omega_values(idx, variant)
-        chunk_best = int(values.max())
-        if best is None or chunk_best > best:
-            best = chunk_best
-            best_index = start + int(np.argmax(values == chunk_best))
-    return best, best_index
+        yield start, np.arange(start, min(start + _SCAN_CHUNK, hi), dtype=np.uint32)
 
 
-def _scan_job(args) -> tuple[int, int]:
-    return _scan_range(*args)
+def _merge(parts, count: int) -> tuple[float, list[int]]:
+    """Combine the (max, lowest attaining indices) results of disjoint ranges."""
+    best = max((value for value, _ in parts), default=-math.inf)
+    return best, sorted(i for value, found in parts if value == best for i in found)[:count]
+
+
+def _scan(layout: _Layout, variant: str, lo: int, hi: int, count: int = 1):
+    """Max omega over model indices [lo, hi) and its ``count`` lowest
+    attaining indices; an empty range gives (-inf, []), which never wins a
+    merge."""
+    result = (-math.inf, [])
+    for start, idx in _chunks(lo, hi):
+        values = _omega_values(idx, variant, layout)
+        best = int(values.max())
+        hits = np.flatnonzero(values == best)[:count] + start
+        result = _merge([result, (best, hits.tolist())], count)
+    return result
 
 
 def local_omega_bound(
@@ -353,45 +359,43 @@ def local_omega_bound(
 
     Args:
         variant: ``"signed"`` or ``"abs"``.
-        workers: Number of parallel scan partitions; results are
+        workers: Number of parallel scan partitions, at most
+            ``os.cpu_count()`` (larger values are clamped); results are
             bit-identical for any value.
         max_witnesses: How many lowest-index maximizing models to decode.
+
+    Raises:
+        ValueError: On an unknown variant, or if ``workers`` or
+            ``max_witnesses`` is not an integer >= 1.
     """
     if variant not in ("signed", "abs"):
         raise ValueError(f"variant must be 'signed' or 'abs', got {variant!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = min(_positive_int("workers", workers), os.cpu_count() or 1)
+    max_witnesses = _positive_int("max_witnesses", max_witnesses)
     edges = [(N_MODELS * k) // workers for k in range(workers + 1)]
-    jobs = [(edges[k], edges[k + 1], variant) for k in range(workers)]
+    scan = partial(_scan, _CONSTRAINED, variant)
     if workers == 1:
-        parts = [_scan_range(*job) for job in jobs]
+        parts = [scan(0, N_MODELS)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_job, jobs))
+            parts = list(pool.map(scan, edges[:-1], edges[1:]))
 
-    best = max(value for value, _ in parts)
-    best_index = min(index for value, index in parts if value == best)
-
-    witnesses = [decode_model(best_index)]
+    best, found = _merge(parts, 1)
     if max_witnesses > 1:
-        witnesses = [decode_model(i) for i in _indices_attaining(best, variant, max_witnesses)]
+        found = _indices_attaining(best, variant, max_witnesses)
     return BoundResult(
         variant=variant,
         max_value=float(best),
-        argmax_models=tuple(witnesses),
+        argmax_models=tuple(decode_model(i) for i in found),
         models_scanned=N_MODELS,
     )
 
 
 def _indices_attaining(target: int, variant: str, count: int) -> list[int]:
-    found: list[int] = []
-    for start in range(0, N_MODELS, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, N_MODELS), dtype=np.uint32)
-        values = _omega_values(idx, variant)
-        for offset in np.flatnonzero(values == target):
-            found.append(start + int(offset))
-            if len(found) == count:
-                return found
+    """The ``count`` lowest model indices attaining the maximum ``target``."""
+    best, found = _scan(_CONSTRAINED, variant, 0, N_MODELS, count)
+    if best != target:
+        raise ValueError(f"{target} is not the maximum omega {best}")
     return found
 
 
@@ -404,7 +408,7 @@ class RelaxedScanResult:
     models_scanned: int
 
 
-def relaxed_omega_scan(variant: str = "signed", chunk_size: int = 1 << 22) -> RelaxedScanResult:
+def relaxed_omega_scan(variant: str = "signed") -> RelaxedScanResult:
     """Max omega over the superset of models without leader sharing.
 
     Shows how much of the signed bound rests on the leaders taking single
@@ -414,12 +418,7 @@ def relaxed_omega_scan(variant: str = "signed", chunk_size: int = 1 << 22) -> Re
     """
     if variant not in ("signed", "abs"):
         raise ValueError(f"variant must be 'signed' or 'abs', got {variant!r}")
-    best = None
-    for start in range(0, N_RELAXED_MODELS, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, N_RELAXED_MODELS), dtype=np.uint32)
-        values = _omega_values(idx, variant, _RELAXED_CHI_BITS, _RELAXED_S_BITS)
-        chunk_best = int(values.max())
-        best = chunk_best if best is None else max(best, chunk_best)
+    best, _ = _scan(_RELAXED, variant, 0, N_RELAXED_MODELS)
     return RelaxedScanResult(variant=variant, max_value=float(best), models_scanned=N_RELAXED_MODELS)
 
 
@@ -466,14 +465,11 @@ def chain_inequality_scan() -> ChainScanResult:
     """Vectorized chain check over all 2^21 models."""
     inequalities_ok = True
     identities_ok = True
-    for start in range(0, N_MODELS, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, N_MODELS), dtype=np.uint32)
+    for _, idx in _chunks(0, N_MODELS):
         for seq in SEQUENCE_ORDER:
             sign = CHI_SIGNS[seq]
-            bf = _alice_bit(seq, 1)
-            b2, b3 = _alice_bit(seq, 2), _alice_bit(seq, 3)
-            bp2 = _BOB_BIT[_SEQ_BOB[seq][2]]
-            bp3 = _BOB_BIT[_SEQ_BOB[seq][3]]
+            bf, b2, b3 = (_MODEL_BIT[seq, pos] for pos in (1, 2, 3))
+            bp2, bp3 = (_MODEL_BIT[_SEQ_BOB[seq][pos]] for pos in (2, 3))
             first_product = 1 - 2 * _xor_bits(idx, (bf, bp2, bp3))
             middle = 1 - 2 * _xor_bits(idx, (bf, b2, bp3))
             seq_product = 1 - 2 * _xor_bits(idx, (bf, b2, b3))

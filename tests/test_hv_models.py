@@ -22,7 +22,16 @@ from bellsquare import (
     noncontextual_chi_bound,
     relaxed_omega_scan,
 )
-from bellsquare.hv_models import N_MODELS, _omega_values, _scan_range
+from bellsquare import hv_models
+from bellsquare.hv_models import (
+    N_MODELS,
+    N_RELAXED_MODELS,
+    _CONSTRAINED,
+    _RELAXED,
+    _merge,
+    _omega_values,
+    _scan,
+)
 
 
 def all_plus_model() -> HVModel:
@@ -85,6 +94,30 @@ class TestContextFreeBounds:
             best = max(best, chi)
         assert best == 4
         assert noncontextual_chi_bound().max_value == best
+
+    @pytest.mark.parametrize("bound, labels, read_as", [
+        (noncontextual_chi_bound, ("A", "B", "C", "a", "b", "c", "α", "β", "γ"), {}),
+        (first_measurement_bound, ("A", "b", "γ", "B'", "C'", "a'", "c'", "α'", "β'"),
+         {"B": "B'", "C": "C'", "a": "a'", "c": "c'", "α": "α'", "β": "β'"}),
+    ])
+    def test_layout_matches_brute_force_oracle(self, bound, labels, read_as):
+        # Every maximizing assignment, lowest index first (bit j is labels[j]),
+        # recomputed label by label without the bit layout.
+        from bellsquare import CHI_SIGNS, SEQUENCES
+        chis = {}
+        for i in range(512):
+            values = {label: 1 - 2 * ((i >> j) & 1) for j, label in enumerate(labels)}
+            chis[i] = sum(
+                CHI_SIGNS[seq] * np.prod([values[read_as.get(m, m)] for m in members])
+                for seq, members in SEQUENCES.items()
+            )
+        best = max(chis.values())
+        expected = [i for i in range(512) if chis[i] == best]
+        result = bound(max_witnesses=512)
+        assert result.max_value == best == 4
+        got = [sum(1 << j for j, label in enumerate(labels) if w.values[label] == -1)
+               for w in result.argmax_models]
+        assert got == expected
 
 
 class TestHVModel:
@@ -158,12 +191,53 @@ class TestLocalOmegaBound:
         assert len({encode_model(r.argmax_models[0]) for r in results}) == 1
 
     def test_partition_merge_matches_full_scan(self):
-        full = _scan_range(0, N_MODELS, "signed")
+        full = _scan(_CONSTRAINED, "signed", 0, N_MODELS)
         edges = [0, 700_000, 1_500_000, N_MODELS]
-        parts = [_scan_range(lo, hi, "signed") for lo, hi in zip(edges, edges[1:])]
+        parts = [_scan(_CONSTRAINED, "signed", lo, hi) for lo, hi in zip(edges, edges[1:])]
         best = max(v for v, _ in parts)
-        index = min(i for v, i in parts if v == best)
-        assert (best, index) == full
+        index = min(found[0] for v, found in parts if v == best)
+        assert (best, [index]) == full
+
+    def test_empty_partition_merges(self):
+        assert _scan(_CONSTRAINED, "signed", 5, 5) == (float("-inf"), [])
+        full = _scan(_CONSTRAINED, "abs", 0, 1 << 16, 5)
+        edges = [0, 0, 200, 200, 1 << 16]
+        parts = [_scan(_CONSTRAINED, "abs", lo, hi, 5) for lo, hi in zip(edges, edges[1:])]
+        assert _merge(parts, 5) == full
+        assert _merge(parts[:2], 5) == _scan(_CONSTRAINED, "abs", 0, 200, 5)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, "2", 0, -3])
+    def test_bad_workers_and_witness_counts_rejected(self, bad):
+        with pytest.raises(ValueError, match="workers"):
+            local_omega_bound("signed", workers=bad)
+        with pytest.raises(ValueError, match="max_witnesses"):
+            local_omega_bound("signed", max_witnesses=bad)
+        with pytest.raises(ValueError, match="max_witnesses"):
+            noncontextual_chi_bound(max_witnesses=bad)
+
+    @pytest.mark.parametrize("cpus, pool_sizes", [(3, [3]), (None, [])])
+    def test_pool_clamped_to_cpu_count(self, monkeypatch, cpus, pool_sizes):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(hv_models, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: cpus)
+        result = local_omega_bound("signed", workers=64)
+        assert started == pool_sizes
+        assert result.max_value == 16.0
+        assert [encode_model(m) for m in result.argmax_models] == [2603]
 
     def test_multiple_witnesses(self):
         result = local_omega_bound("signed", max_witnesses=3)
@@ -209,7 +283,8 @@ class TestInvolution:
         mask = np.uint32(flip_involution(0))
         for variant in ("signed", "abs"):
             assert np.array_equal(
-                _omega_values(idx, variant), _omega_values(idx ^ mask, variant)
+                _omega_values(idx, variant, _CONSTRAINED),
+                _omega_values(idx ^ mask, variant, _CONSTRAINED),
             )
 
     def test_is_an_involution(self):
@@ -228,6 +303,40 @@ class TestRelaxedScan:
 
     def test_abs_unchanged(self):
         assert relaxed_omega_scan("abs").max_value == 18.0
+
+
+class TestLayoutTables:
+    """The shared term tables against evaluations that do not use them."""
+
+    def test_constrained_layout_matches_evaluate_model(self):
+        rng = np.random.default_rng(2021)
+        indices = rng.integers(0, N_MODELS, size=300)
+        idx = indices.astype(np.uint32)
+        signed = _omega_values(idx, "signed", _CONSTRAINED)
+        absolute = _omega_values(idx, "abs", _CONSTRAINED)
+        for k, index in enumerate(indices):
+            evaluation = evaluate_model(decode_model(int(index)))
+            assert (signed[k], absolute[k]) == (evaluation.omega_signed, evaluation.omega_abs)
+
+    def test_relaxed_layout_matches_per_slot_evaluation(self):
+        # Bits 0-17: the three slots of each sequence in SEQUENCE_ORDER;
+        # bits 18-23: Bob outcomes in BOB_LABELS order; bit 1 is outcome -1.
+        from bellsquare import CHI_SIGNS, S_TERMS
+        rng = np.random.default_rng(2024)
+        indices = rng.integers(0, N_RELAXED_MODELS, size=300)
+        idx = indices.astype(np.uint32)
+        signed = _omega_values(idx, "signed", _RELAXED)
+        absolute = _omega_values(idx, "abs", _RELAXED)
+        for k, index in enumerate(int(i) for i in indices):
+            outcome = [1 - 2 * ((index >> b) & 1) for b in range(24)]
+            alice = {(seq, pos): outcome[3 * i + pos - 1]
+                     for i, seq in enumerate(SEQUENCE_ORDER) for pos in (1, 2, 3)}
+            bob = {label: outcome[18 + j] for j, label in enumerate(BOB_LABELS)}
+            chi = sum(CHI_SIGNS[seq] * alice[seq, 1] * alice[seq, 2] * alice[seq, 3]
+                      for seq in SEQUENCE_ORDER)
+            correlators = [t.sign * alice[t.sequence, t.position] * bob[t.bob] for t in S_TERMS]
+            assert signed[k] == chi + sum(correlators)
+            assert absolute[k] == chi + sum(abs(c) for c in correlators)
 
 
 class TestGapReport:
