@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -276,6 +277,8 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"grid parts must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if not (0.0 <= start < stop <= 1.0):

@@ -29,7 +29,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .observables import CHI_SIGNS, S_TERMS, SEQUENCE_ORDER
+from .observables import CHI_SIGNS, OBSERVABLES, S_TERMS, SEQUENCE_ORDER, SEQUENCES
+from .pauli import pauli_product
 from .sequences import (
     SequenceSpec,
     conditional_pair_expectation,
@@ -100,11 +101,12 @@ class InequalityReport:
 
 
 def evaluate_chi(rho: DensityState) -> ChiTerms:
-    """Per-sequence product expectations through the Lüders tree.
+    """Per-sequence product expectations from the joint distributions.
 
     Each sequence's operator product is ±Identity, so every term is
-    exactly ±1 for any state; the engine computes it from the sequential
-    distribution rather than assuming it.
+    exactly ±1 for any state; the engine computes it from the sequence's
+    joint outcome distribution (equal to the sequential Lüders one, since
+    the triple commutes) rather than assuming it.
     """
     terms = {}
     for name in SEQUENCE_ORDER:
@@ -240,10 +242,14 @@ def find_violation_threshold(
 ) -> float:
     """Visibility where the engine's omega(V) reaches 16, by bisection.
 
-    Requires omega(lo) <= 16 <= omega(hi) for the selected variant.
+    Requires omega(lo) <= 16 <= omega(hi) for the selected variant and a
+    finite ``tol > 0``.  Bisection also stops once the midpoint rounds to
+    an endpoint, so a ``tol`` below the float spacing still returns.
     """
     if variant not in S_VARIANTS:
         raise ValueError(f"variant must be one of {S_VARIANTS}, got {variant!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
     def excess(v: float) -> float:
         report = omega(four_qubit_state(v))
@@ -255,6 +261,8 @@ def find_violation_threshold(
         raise ValueError(f"omega - 16 does not change sign on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
         if excess(mid) < 0:
             lo = mid
         else:
@@ -324,7 +332,6 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
 
     s_estimates: dict[str, TermEstimate] = {}
     pooled_products: dict[str, list[np.ndarray]] = {name: [] for name in SEQUENCE_ORDER}
-    chi_exact: dict[str, float] = {}
 
     for index, term in enumerate(S_TERMS):
         spec = SequenceSpec(term.sequence, term.bob)
@@ -342,12 +349,13 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
         pooled_products[term.sequence].append(
             outcomes[:, 0] * outcomes[:, 1] * outcomes[:, 2]
         )
-        chi_exact[term.sequence] = product_expectation(dist)
 
     chi_estimates: dict[str, TermEstimate] = {}
     for name in SEQUENCE_ORDER:
         products = np.concatenate(pooled_products[name])
-        exact = chi_exact[name]
+        # The product operator is exactly ±Identity: take the sign from the
+        # symbolic product, so a deterministic term gets sigma = 0 exactly.
+        exact = pauli_product(OBSERVABLES[lab].pauli for lab in SEQUENCES[name]).phase.real
         chi_estimates[name] = TermEstimate(
             key=name,
             exact=exact,
@@ -356,9 +364,9 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
             n_shots=int(products.size),
         )
 
-    chi = float(sum(CHI_SIGNS[n] * chi_estimates[n].estimate for n in SEQUENCE_ORDER))
-    s_abs = float(sum(abs(s_estimates[t.key].estimate) for t in S_TERMS))
-    s_signed = float(sum(t.sign * s_estimates[t.key].estimate for t in S_TERMS))
+    chi = ChiTerms({k: t.estimate for k, t in chi_estimates.items()}).chi
+    s_terms = STerms({k: t.estimate for k, t in s_estimates.items()})
+    s_abs, s_signed = s_terms.s_abs, s_terms.s_signed
     return SampledInequality(
         visibility=float(visibility),
         shots_per_setting=shots,

@@ -1,9 +1,13 @@
 """Joint outcome distributions for measurement sequences, plus a sampler.
 
 Alice measures one of six fixed three-observable sequences; optionally Bob
-measures a single partner observable.  The exact joint distribution over
-±1 outcomes is obtained by enumerating every branch of the Lüders update
-tree (8 leaves without Bob, 16 with), never by sampling.  The sampler
+measures a single partner observable.  Every sequence is a commuting
+triple and Bob's observable acts on other qubits, so all the observables
+of a setting commute.  For commuting projective measurements the Lüders
+update in sequence has the same statistics as one joint measurement
+(Gühne et al., PRA 81, 022121 (2010)), so the exact joint distribution
+over ±1 outcomes is p(o) = tr(Π_i (I + o_i P_i)/2 · ρ), evaluated over
+all 8 (or 16, with Bob) outcome tuples, never by sampling.  The sampler
 exists only to emulate a finite-shot experiment and draws whole outcome
 tuples from the exact joint distribution by inverse CDF.
 
@@ -22,13 +26,14 @@ between releases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES
-from .pauli import PauliString
-from .states import DensityState, ZERO_PROBABILITY_TOL, luders_update
+from .states import DensityState, ZERO_PROBABILITY_TOL, _projectors
 
 PROBABILITY_SUM_TOL = 1e-10
 
@@ -97,31 +102,24 @@ class ShotRecord(NamedTuple):
 
 
 def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistribution:
-    """Exact outcome distribution by branch enumeration of the Lüders tree.
+    """Exact outcome distribution of one setting as a joint measurement.
 
-    Alice's three observables are measured in sequence order, then Bob's
-    (if present).  Branches whose probability falls below the zero
-    threshold are pruned.
+    Each outcome tuple o over Alice's three observables (then Bob's, if
+    present) gets p(o) = tr(Π_i (I + o_i P_i)/2 · ρ).  The observables
+    commute, so this equals the sequential Lüders distribution in any
+    measurement order.  Outcomes whose probability falls below the zero
+    threshold are dropped.
     """
     if rho.n_qubits != 4:
         raise ValueError(f"sequences are defined on 4 qubits, state has {rho.n_qubits}")
-    chain: list[PauliString] = [OBSERVABLES[lab].pauli for lab in spec.alice_labels]
-    if spec.bob is not None:
-        chain.append(OBSERVABLES[spec.bob].pauli)
-
-    branches: list[tuple[float, DensityState, tuple[int, ...]]] = [(1.0, rho, ())]
-    for obs in chain:
-        grown = []
-        for weight, state, outcomes in branches:
-            for outcome in (1, -1):
-                prob, post = luders_update(state, obs, outcome)
-                joint = weight * prob
-                if post is None or joint < ZERO_PROBABILITY_TOL:
-                    continue
-                grown.append((joint, post, outcomes + (outcome,)))
-        branches = grown
-
-    entries = {outcomes: weight for weight, _, outcomes in branches}
+    labels = spec.alice_labels + (() if spec.bob is None else (spec.bob,))
+    projectors = [_projectors(OBSERVABLES[lab].pauli) for lab in labels]
+    entries = {}
+    for outcomes in product((1, -1), repeat=len(labels)):
+        chosen = [pair[0 if o == 1 else 1] for pair, o in zip(projectors, outcomes)]
+        prob = float(np.real(np.trace(reduce(np.matmul, chosen) @ rho.matrix)))
+        if prob >= ZERO_PROBABILITY_TOL:
+            entries[outcomes] = prob
     return OutcomeDistribution(spec=spec, entries=entries)
 
 

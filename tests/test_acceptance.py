@@ -66,7 +66,7 @@ def test_criterion_2_quantum_correlations():
             pair = bs.pauli_mul(bs.OBSERVABLES[alice].pauli, bs.OBSERVABLES[bob].pauli)
             assert bs.expectation(rho, pair) == pytest.approx(sign, abs=1e-10)
 
-        # Per-sequence, through the Lüders tree: all twelve entries.
+        # Per-sequence, from each setting's joint distribution: all twelve entries.
         s_terms, _ = bs.evaluate_s(rho, "signed")
         for term in bs.S_TERMS:
             value = s_terms.terms[term.key]

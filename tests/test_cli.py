@@ -51,9 +51,10 @@ class TestExitCodes:
             main(["quantum", "--format", "csv"])
         assert excinfo.value.code == 2
 
-    def test_bad_grid_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("grid", ["0:2:0.5", "0:1:nan", "0:1:inf"])
+    def test_bad_grid_is_usage_error(self, capsys, grid):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--grid", "0:2:0.5"])
+            main(["sweep", "--grid", grid])
         assert excinfo.value.code == 2
 
 

@@ -130,6 +130,16 @@ class TestVisibilityThreshold:
         report = omega(four_qubit_state(visibility_threshold(6.0)))
         assert report.omega_signed == pytest.approx(16.0, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            find_violation_threshold("signed", lo=0.85, hi=0.95, tol=tol)
+
+    def test_tolerance_below_float_spacing_returns(self):
+        crossing = find_violation_threshold("signed", lo=0.85, hi=0.95, tol=1e-300)
+        assert 0.85 <= crossing <= 0.95
+        assert crossing == pytest.approx((math.sqrt(21) - 1) / 4, abs=1e-9)
+
 
 class TestFidelity:
     def test_reported_point(self):

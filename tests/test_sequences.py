@@ -7,12 +7,14 @@ import pytest
 
 from bellsquare import (
     BOB_LABELS,
+    DensityState,
     OutcomeDistribution,
     S_TERMS,
     SEQUENCE_ORDER,
     SequenceSpec,
     alice_marginal,
     bob_marginal,
+    commutes,
     conditional_pair_expectation,
     derive_seed,
     expectation,
@@ -25,7 +27,7 @@ from bellsquare import (
     uniform01,
 )
 
-from conftest import oracle_sequential_distribution
+from conftest import oracle_sequential_distribution, random_density_matrix
 
 
 class TestSequenceSpec:
@@ -79,10 +81,15 @@ class TestSequenceDistribution:
         with pytest.raises(ValueError):
             sequence_distribution(singlet_pair(), SequenceSpec("ABC"))
 
-    @pytest.mark.parametrize("visibility", [0.0, 0.6, 1.0])
-    def test_matches_projector_oracle(self, visibility):
-        # Independent route: explicit projector sandwiches in plain numpy.
-        rho = four_qubit_state(visibility)
+    @pytest.mark.parametrize(
+        "kind, param",
+        [pytest.param("werner", v, id=str(v)) for v in (0.0, 0.6, 1.0)]
+        + [pytest.param("full_rank", s, id=f"full_rank-{s}") for s in (11, 12, 13)]
+        + [pytest.param("pure", s, id=f"pure-{s}") for s in (21, 22, 23)],
+    )
+    def test_matches_projector_oracle(self, kind, param):
+        # Independent route: sequential projector sandwiches in plain numpy.
+        rho = _test_state(kind, param)
         specs = [SequenceSpec(name) for name in SEQUENCE_ORDER]
         specs += [SequenceSpec(t.sequence, t.bob) for t in S_TERMS]
         for spec in specs:
@@ -92,6 +99,28 @@ class TestSequenceDistribution:
             assert set(got) == set(want)
             for outcomes, prob in want.items():
                 assert got[outcomes] == pytest.approx(prob, abs=1e-12)
+
+    def test_setting_observables_commute(self):
+        # The joint formula equals the sequential one only for commuting sets.
+        for name in SEQUENCE_ORDER:
+            for bob in (None, *BOB_LABELS):
+                spec = SequenceSpec(name, bob)
+                labels = list(spec.alice_labels) + ([bob] if bob else [])
+                paulis = [OBSERVABLES[lab].pauli for lab in labels]
+                for i, p in enumerate(paulis):
+                    for q in paulis[i + 1:]:
+                        assert commutes(p, q), (spec, p.label, q.label)
+
+
+def _test_state(kind, param):
+    if kind == "werner":
+        return four_qubit_state(param)
+    rng = np.random.default_rng(param)
+    if kind == "full_rank":
+        return DensityState(random_density_matrix(rng, 16))
+    vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    vec /= np.linalg.norm(vec)
+    return DensityState(np.outer(vec, vec.conj()))
 
 
 class TestExpectations:
