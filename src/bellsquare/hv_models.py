@@ -23,13 +23,18 @@ probabilistic local models is attained at a deterministic vertex.
 
 A model is an integer whose bits are outcome signs (0 is +1, 1 is -1).
 Each class is one term table, a ``_Layout``: its number of bits and its
-chi and S terms as ``(sign, bit positions)`` pairs, so every term is the
-XOR of its bits.  One kernel evaluates any layout over an index range in
-vectorized chunks and returns the maximum with its lowest attaining
-indices; every bound is a call of it.  Partitioned scans merge
-deterministically (global max, lowest witness index), so results are
-bit-identical for any worker count, and the process pool never gets more
-workers than the machine has CPUs.
+chi and S terms as ``(sign, bit positions)`` pairs, so every term is
+sign * (-1)^(XOR of its bits).  One kernel evaluates any layout over an
+index range in blocks of 2^16 models.  An index splits into a block number
+(bits 16 and up) and a 16-bit offset; the term's offset bits select an
+int8 ±1 parity table over the 2^16 offsets, built on first use and cached,
+and its block bits fold into one ±1 per block.  Adding or subtracting each
+term's table in place gives omega of every model in the block, so every
+model is still evaluated.  The kernel returns the maximum with its lowest
+attaining indices; every bound is a call of it, and the chain check reads
+the same tables.  Partitioned scans merge deterministically (global max,
+lowest witness index), so results are bit-identical for any worker count,
+and the process pool never gets more workers than the machine has CPUs.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from numbers import Integral
 from typing import Mapping, NamedTuple
 
@@ -60,7 +65,10 @@ N_MODELS = 1 << N_MODEL_BITS
 N_RELAXED_BITS = 24  # leader sharing dropped: 18 Alice slots + 6 Bob
 N_RELAXED_MODELS = 1 << N_RELAXED_BITS
 
-_SCAN_CHUNK = 1 << 20
+# Scan blocks: a model index is a block number (bits >= 16) and an offset
+# (bits 0-15) into the block.
+_BLOCK_BITS = 16
+_BLOCK = 1 << _BLOCK_BITS
 
 
 class _Layout(NamedTuple):
@@ -222,10 +230,14 @@ def evaluate_model(model: HVModel) -> ModelEvaluation:
     )
 
 
-def decode_model(index: int) -> HVModel:
-    """Model for a 21-bit index (bit value 0 is outcome +1, 1 is -1)."""
+def _check_index(index: int) -> None:
     if not 0 <= index < N_MODELS:
         raise ValueError(f"index must lie in [0, {N_MODELS}), got {index}")
+
+
+def decode_model(index: int) -> HVModel:
+    """Model for a 21-bit index (bit value 0 is outcome +1, 1 is -1)."""
+    _check_index(index)
 
     def sign(bit: int) -> int:
         return 1 - 2 * ((index >> bit) & 1)
@@ -267,15 +279,20 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
-def _context_free_bound(variant: str, labels, max_witnesses: int) -> BoundResult:
-    max_witnesses = _positive_int("max_witnesses", max_witnesses)
+def _context_free_layout(labels) -> _Layout:
+    """Layout of the 2^9 context-free assignments; bit j is ``labels[j]``."""
     relabel = _IDENTITY_RELABEL if frozenset(labels) == _ALICE_KEYSET else _BOB_SIDE_RELABEL
     bit = {
         (seq, pos): labels.index(relabel[member])
         for seq in SEQUENCE_ORDER
         for pos, member in enumerate(SEQUENCES[seq], 1)
     }
-    layout = _layout(bit, s_terms=())
+    return _layout(bit, s_terms=())
+
+
+def _context_free_bound(variant: str, labels, max_witnesses: int) -> BoundResult:
+    max_witnesses = _positive_int("max_witnesses", max_witnesses)
+    layout = _context_free_layout(labels)
     n_models = 1 << layout.n_bits
     best, found = _scan(layout, "signed", 0, n_models, max_witnesses)
     witnesses = tuple(
@@ -308,29 +325,58 @@ def first_measurement_bound(max_witnesses: int = 4) -> BoundResult:
     return _context_free_bound("first-measurement-chi", labels, max_witnesses)
 
 
-def _xor_bits(idx: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
-    acc = idx >> np.uint32(bits[0])
-    for b in bits[1:]:
-        acc = acc ^ (idx >> np.uint32(b))
-    return (acc & np.uint32(1)).astype(np.int16)
+@cache
+def _parity_table(low_bits: tuple[int, ...]) -> np.ndarray:
+    """(-1)^(XOR of bits ``low_bits``) of every in-block offset, as int8."""
+    offset = np.arange(_BLOCK, dtype=np.uint16)
+    parity = np.zeros(_BLOCK, dtype=np.uint16)
+    for b in low_bits:
+        parity ^= offset >> np.uint16(b)
+    table = (1 - 2 * (parity & 1)).astype(np.int8)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
-def _omega_values(idx: np.ndarray, variant: str, layout: _Layout) -> np.ndarray:
-    """Omega of each model index in ``idx`` under ``layout``."""
-    terms = layout.chi if variant == "abs" else layout.chi + layout.s
-    total = np.zeros(idx.shape, dtype=np.int16)
-    for sign, bits in terms:
-        total += sign * (1 - 2 * _xor_bits(idx, bits))
-    if variant == "abs":
-        # Every deterministic correlator has |value| = 1, so S_abs = len(s).
-        total += len(layout.s)
-    return total
+def _term_tables(terms) -> list[tuple[int, np.ndarray, int]]:
+    """Each ``(sign, bits)`` term as (sign, parity table of its bits below
+    ``_BLOCK_BITS``, mask of its bits at or above ``_BLOCK_BITS``)."""
+    return [
+        (
+            sign,
+            _parity_table(tuple(b for b in bits if b < _BLOCK_BITS)),
+            sum(1 << b for b in bits if b >= _BLOCK_BITS),
+        )
+        for sign, bits in terms
+    ]
 
 
-def _chunks(lo: int, hi: int):
-    """Yield (start, indices) for model indices [lo, hi) in scan chunks."""
-    for start in range(lo, hi, _SCAN_CHUNK):
-        yield start, np.arange(start, min(start + _SCAN_CHUNK, hi), dtype=np.uint32)
+def _high_sign(start: int, mask: int) -> int:
+    """±1 that the bits ``mask`` of block ``start`` fold into a term."""
+    return 1 - 2 * (bin(start & mask).count("1") & 1)
+
+
+def _blocks(lo: int, hi: int):
+    """Yield (start, first, stop) for each block holding models of [lo, hi):
+    those models are ``start + first`` to ``start + stop``."""
+    if lo >= hi:
+        return
+    for start in range(lo - lo % _BLOCK, hi, _BLOCK):
+        yield start, max(lo - start, 0), min(hi - start, _BLOCK)
+
+
+def _omega_blocks(layout: _Layout, variant: str, lo: int, hi: int):
+    """Yield (first index, omega of the next models) block by block over
+    model indices [lo, hi) under ``layout``."""
+    terms = _term_tables(layout.chi if variant == "abs" else layout.chi + layout.s)
+    # Every deterministic correlator has |value| = 1, so S_abs = len(s).
+    base = len(layout.s) if variant == "abs" else 0
+    for start, first, stop in _blocks(lo, hi):
+        # |omega| <= 6 chi terms + 12 correlators = 18, so int8 cannot overflow.
+        values = np.full(stop - first, base, dtype=np.int8)
+        for sign, table, high in terms:
+            accumulate = np.add if sign * _high_sign(start, high) > 0 else np.subtract
+            accumulate(values, table[first:stop], out=values)
+        yield start + first, values
 
 
 def _merge(parts, count: int) -> tuple[float, list[int]]:
@@ -344,10 +390,9 @@ def _scan(layout: _Layout, variant: str, lo: int, hi: int, count: int = 1):
     attaining indices; an empty range gives (-inf, []), which never wins a
     merge."""
     result = (-math.inf, [])
-    for start, idx in _chunks(lo, hi):
-        values = _omega_values(idx, variant, layout)
+    for first, values in _omega_blocks(layout, variant, lo, hi):
         best = int(values.max())
-        hits = np.flatnonzero(values == best)[:count] + start
+        hits = np.flatnonzero(values == best)[:count] + first
         result = _merge([result, (best, hits.tolist())], count)
     return result
 
@@ -462,19 +507,23 @@ class ChainScanResult:
 
 
 def chain_inequality_scan() -> ChainScanResult:
-    """Vectorized chain check over all 2^21 models."""
+    """Vectorized chain check over all 2^21 models, block by block."""
     inequalities_ok = True
     identities_ok = True
-    for _, idx in _chunks(0, N_MODELS):
-        for seq in SEQUENCE_ORDER:
-            sign = CHI_SIGNS[seq]
-            bf, b2, b3 = (_MODEL_BIT[seq, pos] for pos in (1, 2, 3))
-            bp2, bp3 = (_MODEL_BIT[_SEQ_BOB[seq][pos]] for pos in (2, 3))
-            first_product = 1 - 2 * _xor_bits(idx, (bf, bp2, bp3))
-            middle = 1 - 2 * _xor_bits(idx, (bf, b2, bp3))
-            seq_product = 1 - 2 * _xor_bits(idx, (bf, b2, b3))
-            pen2 = 2 * _xor_bits(idx, (b2, bp2))
-            pen3 = 2 * _xor_bits(idx, (b3, bp3))
+    tables = []
+    for seq in SEQUENCE_ORDER:
+        bf, b2, b3 = (_MODEL_BIT[seq, pos] for pos in (1, 2, 3))
+        bp2, bp3 = (_MODEL_BIT[_SEQ_BOB[seq][pos]] for pos in (2, 3))
+        # First product, middle, sequence product and the two mismatches.
+        bits = ((bf, bp2, bp3), (bf, b2, bp3), (bf, b2, b3), (b2, bp2), (b3, bp3))
+        tables.append((CHI_SIGNS[seq], _term_tables((1, b) for b in bits)))
+    for start, first, stop in _blocks(0, N_MODELS):
+        for sign, terms in tables:
+            first_product, middle, seq_product, match2, match3 = (
+                _high_sign(start, high) * table[first:stop] for _, table, high in terms
+            )
+            pen2 = 1 - match2
+            pen3 = 1 - match3
             identities_ok &= bool(np.all(np.abs(first_product - middle) == pen2))
             identities_ok &= bool(np.all(np.abs(middle - seq_product) == pen3))
             inequalities_ok &= bool(
@@ -494,7 +543,11 @@ def flip_involution(index: int) -> int:
     Each chi term contains exactly two later-position values and each
     correlator pairs one later-position value with one Bob value, so both
     sums are invariant; flipping leader bits as well would negate chi.
+
+    Raises:
+        ValueError: If ``index`` is not a model index in [0, N_MODELS).
     """
+    _check_index(index)
     mask = ((1 << N_MODEL_BITS) - 1) ^ 0b111  # all bits except the three leaders
     return index ^ mask
 

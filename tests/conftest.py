@@ -59,6 +59,35 @@ def oracle_sequential_distribution(rho: np.ndarray, labels) -> dict[tuple[int, .
     return entries
 
 
+def _oracle_xor_bits(idx: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
+    acc = idx >> np.uint32(bits[0])
+    for b in bits[1:]:
+        acc = acc ^ (idx >> np.uint32(b))
+    return (acc & np.uint32(1)).astype(np.int16)
+
+
+def oracle_omega_values(idx: np.ndarray, variant: str, layout) -> np.ndarray:
+    """Omega of each model index in ``idx`` (uint32) under a term-table
+    layout, evaluated index by index: every term is sign * (-1)^(XOR of its
+    bits), read straight from the index with no block split."""
+    terms = layout.chi if variant == "abs" else layout.chi + layout.s
+    total = np.zeros(idx.shape, dtype=np.int16)
+    for sign, bits in terms:
+        total += sign * (1 - 2 * _oracle_xor_bits(idx, bits))
+    if variant == "abs":
+        total += len(layout.s)
+    return total
+
+
+def oracle_scan(layout, variant: str, lo: int, hi: int, count: int):
+    """Max omega over [lo, hi) and its ``count`` lowest attaining indices."""
+    values = oracle_omega_values(np.arange(lo, hi, dtype=np.uint32), variant, layout)
+    if values.size == 0:
+        return float("-inf"), []
+    best = int(values.max())
+    return best, (np.flatnonzero(values == best)[:count] + lo).tolist()
+
+
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T

@@ -26,12 +26,33 @@ from bellsquare import hv_models
 from bellsquare.hv_models import (
     N_MODELS,
     N_RELAXED_MODELS,
+    _BLOCK,
     _CONSTRAINED,
     _RELAXED,
+    _context_free_layout,
     _merge,
-    _omega_values,
+    _omega_blocks,
     _scan,
 )
+from conftest import oracle_omega_values, oracle_scan
+
+ALICE_ORDER = ("A", "B", "C", "a", "b", "c", "α", "β", "γ")
+FIRST_MEASUREMENT_ORDER = ("A", "b", "γ", "B'", "C'", "a'", "c'", "α'", "β'")
+
+
+def block_values(layout, variant, lo, hi) -> np.ndarray:
+    """Omega of models [lo, hi) from the block kernel, in index order."""
+    firsts, blocks = [], []
+    for first, values in _omega_blocks(layout, variant, lo, hi):
+        firsts.append(first)
+        blocks.append(values)
+    assert firsts == sorted(firsts) and sum(map(len, blocks)) == hi - lo
+    return np.concatenate(blocks)
+
+
+def omega_at(layout, variant, indices) -> list[int]:
+    """Omega of each model index, each read from a one-model block slice."""
+    return [int(block_values(layout, variant, int(i), int(i) + 1)[0]) for i in indices]
 
 
 def all_plus_model() -> HVModel:
@@ -279,13 +300,18 @@ class TestChainInequality:
 
 class TestInvolution:
     def test_preserves_omega_vectorized(self):
-        idx = np.arange(0, 1 << 16, dtype=np.uint32)
-        mask = np.uint32(flip_involution(0))
+        idx = np.arange(N_MODELS)
+        mask = flip_involution(0)
         for variant in ("signed", "abs"):
-            assert np.array_equal(
-                _omega_values(idx, variant, _CONSTRAINED),
-                _omega_values(idx ^ mask, variant, _CONSTRAINED),
-            )
+            values = block_values(_CONSTRAINED, variant, 0, N_MODELS)
+            assert np.array_equal(values, values[idx ^ mask])
+
+    @pytest.mark.parametrize("bad", [-1, N_MODELS, 1 << 40])
+    def test_rejects_out_of_range_index(self, bad):
+        with pytest.raises(ValueError, match=r"index must lie in \[0, 2097152\)"):
+            flip_involution(bad)
+        with pytest.raises(ValueError, match=r"index must lie in \[0, 2097152\)"):
+            decode_model(bad)
 
     def test_is_an_involution(self):
         assert flip_involution(flip_involution(12345)) == 12345
@@ -311,9 +337,8 @@ class TestLayoutTables:
     def test_constrained_layout_matches_evaluate_model(self):
         rng = np.random.default_rng(2021)
         indices = rng.integers(0, N_MODELS, size=300)
-        idx = indices.astype(np.uint32)
-        signed = _omega_values(idx, "signed", _CONSTRAINED)
-        absolute = _omega_values(idx, "abs", _CONSTRAINED)
+        signed = omega_at(_CONSTRAINED, "signed", indices)
+        absolute = omega_at(_CONSTRAINED, "abs", indices)
         for k, index in enumerate(indices):
             evaluation = evaluate_model(decode_model(int(index)))
             assert (signed[k], absolute[k]) == (evaluation.omega_signed, evaluation.omega_abs)
@@ -324,9 +349,8 @@ class TestLayoutTables:
         from bellsquare import CHI_SIGNS, S_TERMS
         rng = np.random.default_rng(2024)
         indices = rng.integers(0, N_RELAXED_MODELS, size=300)
-        idx = indices.astype(np.uint32)
-        signed = _omega_values(idx, "signed", _RELAXED)
-        absolute = _omega_values(idx, "abs", _RELAXED)
+        signed = omega_at(_RELAXED, "signed", indices)
+        absolute = omega_at(_RELAXED, "abs", indices)
         for k, index in enumerate(int(i) for i in indices):
             outcome = [1 - 2 * ((index >> b) & 1) for b in range(24)]
             alice = {(seq, pos): outcome[3 * i + pos - 1]
@@ -337,6 +361,41 @@ class TestLayoutTables:
             correlators = [t.sign * alice[t.sequence, t.position] * bob[t.bob] for t in S_TERMS]
             assert signed[k] == chi + sum(correlators)
             assert absolute[k] == chi + sum(abs(c) for c in correlators)
+
+
+class TestBlockKernel:
+    """The block kernel against the per-index reference evaluator."""
+
+    @pytest.mark.parametrize("variant", ["signed", "abs"])
+    def test_all_constrained_models_match_reference(self, variant):
+        for first, values in _omega_blocks(_CONSTRAINED, variant, 0, N_MODELS):
+            idx = np.arange(first, first + len(values), dtype=np.uint32)
+            assert np.array_equal(values, oracle_omega_values(idx, variant, _CONSTRAINED))
+
+    @pytest.mark.parametrize("labels", [ALICE_ORDER, FIRST_MEASUREMENT_ORDER])
+    def test_context_free_layouts_match_reference(self, labels):
+        layout = _context_free_layout(labels)
+        assert layout.n_bits == 9
+        blocks = list(_omega_blocks(layout, "signed", 0, 512))
+        assert [(first, len(values)) for first, values in blocks] == [(0, 512)]
+        idx = np.arange(512, dtype=np.uint32)
+        assert np.array_equal(blocks[0][1], oracle_omega_values(idx, "signed", layout))
+
+    @pytest.mark.parametrize("variant", ["signed", "abs"])
+    def test_seeded_relaxed_blocks_match_reference(self, variant):
+        rng = np.random.default_rng(1624)
+        for block in rng.choice(N_RELAXED_MODELS // _BLOCK, size=6, replace=False):
+            lo = int(block) * _BLOCK
+            idx = np.arange(lo, lo + _BLOCK, dtype=np.uint32)
+            assert np.array_equal(block_values(_RELAXED, variant, lo, lo + _BLOCK),
+                                  oracle_omega_values(idx, variant, _RELAXED))
+
+    @pytest.mark.parametrize("variant", ["signed", "abs"])
+    @pytest.mark.parametrize("count", [1, 5, 20])
+    @pytest.mark.parametrize("lo, hi", [(65535, 65537), (65536, 65536), (700_000, 1_500_000)])
+    def test_scan_on_block_edges_matches_reference(self, variant, count, lo, hi):
+        assert _scan(_CONSTRAINED, variant, lo, hi, count) == oracle_scan(
+            _CONSTRAINED, variant, lo, hi, count)
 
 
 class TestGapReport:
