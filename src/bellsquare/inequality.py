@@ -14,6 +14,15 @@ Both variants are computed and reported because the exhaustive
 hidden-variable scan gives them different classical bounds (16 for
 signed, 18 for abs); see :mod:`bellsquare.hv_models`.
 
+The exact engine needs no outcome distribution.  All the observables of
+a setting commute, so each correlator is the expectation of one Pauli
+product, <A B'> = tr(ρ · A · B'), read from one contraction of ρ with a
+cached stack of the twelve product matrices.  Each chi term is the
+identity coefficient of its sequence product, exactly ±1 for every state
+(compatible sequences have joint-measurement statistics: Gühne et al.,
+PRA 81, 022121 (2010)).  The outcome distributions of
+:mod:`bellsquare.sequences` serve the finite-shot sampler.
+
 For the noisy preparation the signed S value is the polynomial
 ``4V + 8V**2`` in the visibility V while chi stays pinned at 6, so the
 combined value crosses 16 at ``V = (sqrt(21) - 1) / 4 ≈ 0.8956``.  The
@@ -25,21 +34,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping
 
 import numpy as np
 
 from .observables import CHI_SIGNS, OBSERVABLES, S_TERMS, SEQUENCE_ORDER, SEQUENCES
-from .pauli import pauli_product
+from .pauli import pauli_product, to_matrix
 from .sequences import (
     SequenceSpec,
+    _check_four_qubits,
     conditional_pair_expectation,
     derive_seed,
-    product_expectation,
     sample_outcomes,
     sequence_distribution,
 )
-from .states import DensityState, four_qubit_state
+from .states import HERMITICITY_TOL, DensityState, four_qubit_state
 
 NONCONTEXTUAL_CHI_BOUND = 4.0
 LOCAL_OMEGA_BOUND = 16.0
@@ -100,35 +110,58 @@ class InequalityReport:
         return self.chi > self.chi_bound
 
 
-def evaluate_chi(rho: DensityState) -> ChiTerms:
-    """Per-sequence product expectations from the joint distributions.
+@cache
+def _sequence_phase(name: str) -> float:
+    """Identity coefficient of sequence ``name``'s operator product: ±1."""
+    return pauli_product(OBSERVABLES[lab].pauli for lab in SEQUENCES[name]).phase.real
 
-    Each sequence's operator product is ±Identity, so every term is
-    exactly ±1 for any state; the engine computes it from the sequence's
-    joint outcome distribution (equal to the sequential Lüders one, since
-    the triple commutes) rather than assuming it.
+
+@cache
+def _s_operator_stack() -> np.ndarray:
+    """Read-only (12, 16, 16) stack of the matrices A · B', one per S term."""
+    stack = np.stack([
+        to_matrix(pauli_product([OBSERVABLES[t.alice].pauli, OBSERVABLES[t.bob].pauli]))
+        for t in S_TERMS
+    ])
+    stack.flags.writeable = False  # shared by every caller through the cache
+    return stack
+
+
+def evaluate_chi(rho: DensityState) -> ChiTerms:
+    """Per-sequence product expectations: the exact sequence phases.
+
+    Each sequence is a commuting triple whose operator product is
+    ±Identity, so its product expectation is that sign for every state;
+    it is read from the symbolic Pauli product, never estimated.
     """
-    terms = {}
-    for name in SEQUENCE_ORDER:
-        dist = sequence_distribution(rho, SequenceSpec(name))
-        terms[name] = product_expectation(dist)
-    return ChiTerms(terms=terms)
+    _check_four_qubits(rho)
+    return ChiTerms(terms={name: _sequence_phase(name) for name in SEQUENCE_ORDER})
 
 
 def evaluate_s(rho: DensityState, variant: str) -> tuple[STerms, float]:
     """The twelve conditional correlators and their ``variant`` total.
 
+    Alice's observable and Bob's partner commute with the rest of the
+    setting, so each correlator is tr(ρ · A · B'), computed for all twelve
+    terms by one contraction against the cached operator stack.
+
     Args:
         rho: Four-qubit state.
         variant: ``"abs"`` or ``"signed"``.
+
+    Raises:
+        ValueError: On an unknown variant or a state not on 4 qubits.
+        RuntimeError: If a correlator has an imaginary part above
+            ``HERMITICITY_TOL``.
     """
     if variant not in S_VARIANTS:
         raise ValueError(f"variant must be one of {S_VARIANTS}, got {variant!r}")
-    terms = {}
-    for term in S_TERMS:
-        dist = sequence_distribution(rho, SequenceSpec(term.sequence, term.bob))
-        terms[term.key] = conditional_pair_expectation(dist, term.position)
-    s_terms = STerms(terms=terms)
+    _check_four_qubits(rho)
+    values = np.einsum("kij,ji->k", _s_operator_stack(), rho.matrix)
+    worst = float(np.max(np.abs(values.imag)))
+    if worst > HERMITICITY_TOL:
+        raise RuntimeError(f"correlator has imaginary part {worst}")
+    s_terms = STerms(terms=dict(zip((t.key for t in S_TERMS), values.real.tolist())))
     total = s_terms.s_abs if variant == "abs" else s_terms.s_signed
     return s_terms, total
 
@@ -355,7 +388,7 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
         products = np.concatenate(pooled_products[name])
         # The product operator is exactly ±Identity: take the sign from the
         # symbolic product, so a deterministic term gets sigma = 0 exactly.
-        exact = pauli_product(OBSERVABLES[lab].pauli for lab in SEQUENCES[name]).phase.real
+        exact = _sequence_phase(name)
         chi_estimates[name] = TermEstimate(
             key=name,
             exact=exact,

@@ -101,6 +101,11 @@ class ShotRecord(NamedTuple):
     seed: int
 
 
+def _check_four_qubits(rho: DensityState) -> None:
+    if rho.n_qubits != 4:
+        raise ValueError(f"sequences are defined on 4 qubits, state has {rho.n_qubits}")
+
+
 def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistribution:
     """Exact outcome distribution of one setting as a joint measurement.
 
@@ -110,8 +115,7 @@ def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistr
     measurement order.  Outcomes whose probability falls below the zero
     threshold are dropped.
     """
-    if rho.n_qubits != 4:
-        raise ValueError(f"sequences are defined on 4 qubits, state has {rho.n_qubits}")
+    _check_four_qubits(rho)
     labels = spec.alice_labels + (() if spec.bob is None else (spec.bob,))
     projectors = [_projectors(OBSERVABLES[lab].pauli) for lab in labels]
     entries = {}

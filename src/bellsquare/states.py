@@ -3,8 +3,8 @@
 Builds the ideal four-qubit preparation (singlets pairing qubits 1-3 and
 2-4) with optional per-pair white noise, and provides expectation values,
 projective (Lüders-rule) measurement updates and partial traces.  Every
-returned state is validated: unit trace, Hermitian, positive semidefinite
-within fixed tolerances.
+returned state is validated: finite entries, unit trace, Hermitian,
+positive semidefinite within fixed tolerances.
 
 States are immutable; the backing arrays are marked read-only.
 """
@@ -30,8 +30,9 @@ ZERO_PROBABILITY_TOL = 1e-12
 class DensityState:
     """Validated 2^n x 2^n density operator.
 
-    Construction copies the input, checks trace/Hermiticity/positivity
-    and freezes the array.  ``n_qubits`` is derived from the shape.
+    Construction copies the input, checks that every entry is finite,
+    then trace/Hermiticity/positivity, and freezes the array.
+    ``n_qubits`` is derived from the shape.
     """
 
     matrix: np.ndarray
@@ -45,6 +46,8 @@ class DensityState:
         n = dim.bit_length() - 1
         if dim != 1 << n or n < 1:
             raise ValueError(f"dimension {dim} is not a power of two >= 2")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         trace = complex(np.trace(m))
         if abs(trace - 1) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL}, got {trace}")

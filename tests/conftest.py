@@ -3,12 +3,25 @@
 The oracle helpers here rebuild everything from scratch with plain numpy
 (letter tables, kron products, projector sandwiches) so that engine
 results are checked against a second, independent route.
+``oracle_omega_via_distributions`` is the exception: it reaches omega
+through the library's joint outcome distributions, a route independent
+of the Pauli-expectation engine that ``omega`` uses.
 """
 
 import numpy as np
 import pytest
 
-from bellsquare import four_qubit_state
+from bellsquare import (
+    CHI_SIGNS,
+    DensityState,
+    S_TERMS,
+    SEQUENCE_ORDER,
+    SequenceSpec,
+    conditional_pair_expectation,
+    four_qubit_state,
+    product_expectation,
+    sequence_distribution,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -59,6 +72,29 @@ def oracle_sequential_distribution(rho: np.ndarray, labels) -> dict[tuple[int, .
     return entries
 
 
+def oracle_omega_via_distributions(rho) -> dict:
+    """The 18 inequality terms and both omega values from outcome
+    distributions: each chi term is the mean Alice product of its
+    sequence's joint distribution, each correlator the conditional pair
+    mean of its (sequence, Bob) setting's distribution."""
+    chi_terms = {
+        name: product_expectation(sequence_distribution(rho, SequenceSpec(name)))
+        for name in SEQUENCE_ORDER
+    }
+    s_terms = {
+        t.key: conditional_pair_expectation(
+            sequence_distribution(rho, SequenceSpec(t.sequence, t.bob)), t.position)
+        for t in S_TERMS
+    }
+    chi = sum(CHI_SIGNS[name] * chi_terms[name] for name in SEQUENCE_ORDER)
+    return {
+        "chi_terms": chi_terms,
+        "s_terms": s_terms,
+        "omega_abs": chi + sum(abs(s_terms[t.key]) for t in S_TERMS),
+        "omega_signed": chi + sum(t.sign * s_terms[t.key] for t in S_TERMS),
+    }
+
+
 def _oracle_xor_bits(idx: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
     acc = idx >> np.uint32(bits[0])
     for b in bits[1:]:
@@ -92,6 +128,19 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+def seeded_state(kind: str, param):
+    """A four-qubit test state: ``werner`` at visibility ``param``, or a
+    ``full_rank`` or ``pure`` random state seeded by ``param``."""
+    if kind == "werner":
+        return four_qubit_state(param)
+    rng = np.random.default_rng(param)
+    if kind == "full_rank":
+        return DensityState(random_density_matrix(rng, 16))
+    vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    vec /= np.linalg.norm(vec)
+    return DensityState(np.outer(vec, vec.conj()))
 
 
 @pytest.fixture(scope="session")

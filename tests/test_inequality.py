@@ -1,15 +1,18 @@
 """Tests for inequality assembly, thresholds and sampled estimates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bellsquare import (
+    CHI_SIGNS,
     DensityState,
     PAIR_SIGNS,
     S_TERMS,
     SEQUENCE_ORDER,
+    SEQUENCES,
     estimate_inequality,
     evaluate_chi,
     evaluate_s,
@@ -19,9 +22,16 @@ from bellsquare import (
     omega,
     sweep,
     visibility_threshold,
+    werner_pair,
 )
 
-from conftest import random_density_matrix
+from conftest import (
+    LETTER_DEFS,
+    oracle_matrix,
+    oracle_omega_via_distributions,
+    random_density_matrix,
+    seeded_state,
+)
 
 ROOT_V = (math.sqrt(21) - 1) / 4  # visibility where signed omega reaches 16
 
@@ -97,6 +107,136 @@ class TestOmega:
             report = omega(four_qubit_state(v))
             assert report.omega_abs == report.chi + report.s_abs
             assert report.omega_signed == report.chi + report.s_signed
+
+
+    @pytest.mark.parametrize(
+        "kind, param",
+        [pytest.param("werner", v, id=str(v)) for v in (0.0, 0.5, 0.9, 1.0)]
+        + [pytest.param("full_rank", s, id=f"full_rank-{s}") for s in range(31, 41)]
+        + [pytest.param("pure", s, id=f"pure-{s}") for s in range(41, 51)],
+    )
+    def test_matches_distribution_oracle(self, kind, param):
+        rho = seeded_state(kind, param)
+        report = omega(rho)
+        want = oracle_omega_via_distributions(rho)
+        for name in SEQUENCE_ORDER:
+            assert report.chi_terms.terms[name] == pytest.approx(want["chi_terms"][name], abs=1e-12)
+        for term in S_TERMS:
+            assert report.s_terms.terms[term.key] == pytest.approx(want["s_terms"][term.key], abs=1e-12)
+        assert report.omega_abs == pytest.approx(want["omega_abs"], abs=1e-12)
+        assert report.omega_signed == pytest.approx(want["omega_signed"], abs=1e-12)
+
+    def test_rejects_state_not_on_four_qubits(self):
+        rho = werner_pair(0.5)
+        with pytest.raises(ValueError, match="sequences are defined on 4 qubits"):
+            omega(rho)
+        with pytest.raises(ValueError, match="sequences are defined on 4 qubits"):
+            evaluate_s(rho, "signed")
+        with pytest.raises(ValueError, match="sequences are defined on 4 qubits"):
+            evaluate_chi(rho)
+
+    def test_imaginary_correlator_raises(self):
+        # An anti-Hermitian part within the state's Hermiticity tolerance
+        # per entry still adds up to a correlator imaginary part of 6.4e-10.
+        bb = oracle_matrix("B") @ oracle_matrix("B'")
+        rho = DensityState(np.eye(16) / 16 + 4e-11j * bb)
+        with pytest.raises(RuntimeError, match="imaginary part"):
+            evaluate_s(rho, "signed")
+
+
+# Real integer letter tables.  Y = i·W with W = XZ, so the one complex
+# observable γ = YY equals -W⊗W and every matrix below stays real.
+_INT_LETTER = {
+    "I": ((1, 0), (0, 1)),
+    "X": ((0, 1), (1, 0)),
+    "Z": ((1, 0), (0, -1)),
+    "W": ((0, -1), (1, 0)),
+}
+_RADICAND = 21  # Q(sqrt 21) elements are pairs (a, b) meaning a + b * sqrt(21)
+
+
+def _int_matrix(label: str) -> list[list[int]]:
+    letters = LETTER_DEFS[label]
+    n_y = letters.count("Y")
+    assert n_y % 2 == 0
+    sign = (-1) ** (n_y // 2)
+    tables = [_INT_LETTER["W" if ch == "Y" else ch] for ch in letters]
+    return [
+        [sign * math.prod(t[(i >> (3 - q)) & 1][(j >> (3 - q)) & 1] for q, t in enumerate(tables))
+         for j in range(16)]
+        for i in range(16)
+    ]
+
+
+def _int_matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(16)) for j in range(16)] for i in range(16)]
+
+
+def _exact_four_qubit_state(v: Fraction) -> list[list[Fraction]]:
+    """Noisy singlets on qubit pairs (1,3) and (2,4) at visibility v, exactly."""
+    singlet = [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]]
+    pair = [[v * Fraction(singlet[i][j], 2) + (1 - v) * Fraction(int(i == j), 4)
+             for j in range(4)] for i in range(4)]
+
+    def bits(i):  # (qubit 1, 2, 3, 4) bits of index i, qubit 1 most significant
+        return (i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1
+
+    def entry(i, j):
+        (a1, a2, a3, a4), (b1, b2, b3, b4) = bits(i), bits(j)
+        return pair[2 * a1 + a3][2 * b1 + b3] * pair[2 * a2 + a4][2 * b2 + b4]
+
+    return [[entry(i, j) for j in range(16)] for i in range(16)]
+
+
+def _exact_expectation(rho, matrix) -> Fraction:
+    return sum((rho[i][j] * matrix[j][i] for i in range(16) for j in range(16) if matrix[j][i]),
+               Fraction(0))
+
+
+def _exact_omega_signed(v: Fraction) -> Fraction:
+    rho = _exact_four_qubit_state(v)
+    assert sum(rho[i][i] for i in range(16)) == 1
+    chi = Fraction(0)
+    for name in SEQUENCE_ORDER:
+        a, b, c = (_int_matrix(lab) for lab in SEQUENCES[name])
+        chi += CHI_SIGNS[name] * _exact_expectation(rho, _int_matmul(_int_matmul(a, b), c))
+    s_signed = sum(
+        (t.sign * _exact_expectation(rho, _int_matmul(_int_matrix(t.alice), _int_matrix(t.bob)))
+         for t in S_TERMS),
+        Fraction(0),
+    )
+    return chi + s_signed
+
+
+def _q21_mul(x, y):
+    return (x[0] * y[0] + _RADICAND * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+class TestExactCertificate:
+    """The paper's numbers in exact rational arithmetic, no floats inside."""
+
+    @pytest.mark.parametrize(
+        "v", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)],
+        ids=str,
+    )
+    def test_signed_omega_polynomial(self, v):
+        assert _exact_omega_signed(v) == 6 + 4 * v + 8 * v * v
+
+    def test_threshold_brackets_the_root(self):
+        # Bisection down to adjacent floats; the root lies within one ulp.
+        crossing = find_violation_threshold("signed", tol=1e-300)
+        lo = Fraction(math.nextafter(crossing, 0.0))
+        hi = Fraction(math.nextafter(crossing, 1.0))
+        assert 8 * lo * lo + 4 * lo - 10 < 0 < 8 * hi * hi + 4 * hi - 10
+
+    def test_closed_form_root(self):
+        # V = (sqrt(21) - 1) / 4 as an element of Q(sqrt 21).
+        v = (Fraction(-1, 4), Fraction(1, 4))
+        four_v_plus_1 = (4 * v[0] + 1, 4 * v[1])
+        assert _q21_mul(four_v_plus_1, four_v_plus_1) == (21, 0)
+        v_squared = _q21_mul(v, v)
+        poly = (8 * v_squared[0] + 4 * v[0] - 10, 8 * v_squared[1] + 4 * v[1])
+        assert poly == (0, 0)
 
 
 class TestVisibilityThreshold:

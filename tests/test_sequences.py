@@ -7,7 +7,6 @@ import pytest
 
 from bellsquare import (
     BOB_LABELS,
-    DensityState,
     OutcomeDistribution,
     S_TERMS,
     SEQUENCE_ORDER,
@@ -27,7 +26,7 @@ from bellsquare import (
     uniform01,
 )
 
-from conftest import oracle_sequential_distribution, random_density_matrix
+from conftest import oracle_sequential_distribution, seeded_state
 
 
 class TestSequenceSpec:
@@ -89,7 +88,7 @@ class TestSequenceDistribution:
     )
     def test_matches_projector_oracle(self, kind, param):
         # Independent route: sequential projector sandwiches in plain numpy.
-        rho = _test_state(kind, param)
+        rho = seeded_state(kind, param)
         specs = [SequenceSpec(name) for name in SEQUENCE_ORDER]
         specs += [SequenceSpec(t.sequence, t.bob) for t in S_TERMS]
         for spec in specs:
@@ -110,17 +109,6 @@ class TestSequenceDistribution:
                 for i, p in enumerate(paulis):
                     for q in paulis[i + 1:]:
                         assert commutes(p, q), (spec, p.label, q.label)
-
-
-def _test_state(kind, param):
-    if kind == "werner":
-        return four_qubit_state(param)
-    rng = np.random.default_rng(param)
-    if kind == "full_rank":
-        return DensityState(random_density_matrix(rng, 16))
-    vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    vec /= np.linalg.norm(vec)
-    return DensityState(np.outer(vec, vec.conj()))
 
 
 class TestExpectations:

@@ -44,6 +44,19 @@ class TestDensityState:
         with pytest.raises(ValueError):
             DensityState(np.ones((2, 4)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (0, 1), (2, 1)])
+    def test_rejects_non_finite_entry(self, value, entry):
+        # One bad entry in a valid Werner pair; the check runs before eigvalsh.
+        m = np.array(werner_pair(0.5).matrix)
+        m[entry] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityState(m)
+
+    def test_rejects_all_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityState(np.full((16, 16), np.nan))
+
     def test_matrix_is_frozen(self):
         state = singlet_pair()
         with pytest.raises(ValueError):
