@@ -44,7 +44,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
-from numbers import Integral
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -57,6 +56,7 @@ from .observables import (
     SEQUENCE_LEADERS,
     SEQUENCE_ORDER,
     SEQUENCES,
+    _checked_int,
 )
 
 N_ALICE_FREE_BITS = 15  # 18 sequence slots minus 3 shared leader values
@@ -230,14 +230,9 @@ def evaluate_model(model: HVModel) -> ModelEvaluation:
     )
 
 
-def _check_index(index: int) -> None:
-    if not 0 <= index < N_MODELS:
-        raise ValueError(f"index must lie in [0, {N_MODELS}), got {index}")
-
-
 def decode_model(index: int) -> HVModel:
     """Model for a 21-bit index (bit value 0 is outcome +1, 1 is -1)."""
-    _check_index(index)
+    index = _checked_int("index", index, 0, N_MODELS)
 
     def sign(bit: int) -> int:
         return 1 - 2 * ((index >> bit) & 1)
@@ -273,12 +268,6 @@ class BoundResult:
     models_scanned: int
 
 
-def _positive_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def _context_free_layout(labels) -> _Layout:
     """Layout of the 2^9 context-free assignments; bit j is ``labels[j]``."""
     relabel = _IDENTITY_RELABEL if frozenset(labels) == _ALICE_KEYSET else _BOB_SIDE_RELABEL
@@ -291,7 +280,7 @@ def _context_free_layout(labels) -> _Layout:
 
 
 def _context_free_bound(variant: str, labels, max_witnesses: int) -> BoundResult:
-    max_witnesses = _positive_int("max_witnesses", max_witnesses)
+    max_witnesses = _checked_int("max_witnesses", max_witnesses, 1)
     layout = _context_free_layout(labels)
     n_models = 1 << layout.n_bits
     best, found = _scan(layout, "signed", 0, n_models, max_witnesses)
@@ -415,8 +404,8 @@ def local_omega_bound(
     """
     if variant not in ("signed", "abs"):
         raise ValueError(f"variant must be 'signed' or 'abs', got {variant!r}")
-    workers = min(_positive_int("workers", workers), os.cpu_count() or 1)
-    max_witnesses = _positive_int("max_witnesses", max_witnesses)
+    workers = min(_checked_int("workers", workers, 1), os.cpu_count() or 1)
+    max_witnesses = _checked_int("max_witnesses", max_witnesses, 1)
     edges = [(N_MODELS * k) // workers for k in range(workers + 1)]
     scan = partial(_scan, _CONSTRAINED, variant)
     if workers == 1:
@@ -547,7 +536,7 @@ def flip_involution(index: int) -> int:
     Raises:
         ValueError: If ``index`` is not a model index in [0, N_MODELS).
     """
-    _check_index(index)
+    index = _checked_int("index", index, 0, N_MODELS)
     mask = ((1 << N_MODEL_BITS) - 1) ^ 0b111  # all bits except the three leaders
     return index ^ mask
 

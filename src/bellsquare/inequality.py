@@ -39,14 +39,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .observables import CHI_SIGNS, OBSERVABLES, S_TERMS, SEQUENCE_ORDER, SEQUENCES
+from .observables import CHI_SIGNS, OBSERVABLES, S_TERMS, SEQUENCE_ORDER, SEQUENCES, _checked_int
 from .pauli import pauli_product, to_matrix
 from .sequences import (
     SequenceSpec,
     _check_four_qubits,
-    conditional_pair_expectation,
+    _count_outcomes,
     derive_seed,
-    sample_outcomes,
     sequence_distribution,
 )
 from .states import HERMITICITY_TOL, DensityState, four_qubit_state
@@ -351,52 +350,41 @@ class SampledInequality:
         return self.max_abs_z <= n_sigma
 
 
+def _term_estimate(key: str, exact: float, total: int, n_shots: int) -> TermEstimate:
+    """Estimate of one term from the integer sum of its ``n_shots`` ±1 values."""
+    sigma = math.sqrt(max(1.0 - exact * exact, 0.0) / n_shots)
+    return TermEstimate(key, exact, total / n_shots, sigma, n_shots)
+
+
 def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledInequality:
     """Finite-shot estimates of all inequality ingredients.
 
     Runs the twelve (sequence, Bob observable) settings with ``shots``
     samples each, on sub-streams derived from ``seed`` by setting index.
     Each sequence appears in two settings; its chi term pools the Alice
-    outcomes of both.
+    outcomes of both.  Only the count of each outcome cell of the
+    SplitMix64 draws is kept, in fixed chunks that cannot change it; a sum
+    of ±1 values is exact, so each estimate is the mean over the shots.
+    The exact references are the terms of ``omega(rho)``.  ``shots`` must
+    be an integer >= 1 and ``seed`` an integer, else ``ValueError``.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _checked_int("shots", shots, 1)
     rho = four_qubit_state(visibility)
+    exact = omega(rho)
 
     s_estimates: dict[str, TermEstimate] = {}
-    pooled_products: dict[str, list[np.ndarray]] = {name: [] for name in SEQUENCE_ORDER}
-
+    pooled: dict[str, list[int]] = {name: [] for name in SEQUENCE_ORDER}
     for index, term in enumerate(S_TERMS):
-        spec = SequenceSpec(term.sequence, term.bob)
-        dist = sequence_distribution(rho, spec)
-        outcomes = sample_outcomes(dist, shots, derive_seed(seed, index))
-        pair = outcomes[:, term.position - 1] * outcomes[:, 3]
-        exact = conditional_pair_expectation(dist, term.position)
-        s_estimates[term.key] = TermEstimate(
-            key=term.key,
-            exact=exact,
-            estimate=float(pair.mean()),
-            sigma=math.sqrt(max(1.0 - exact * exact, 0.0) / shots),
-            n_shots=shots,
-        )
-        pooled_products[term.sequence].append(
-            outcomes[:, 0] * outcomes[:, 1] * outcomes[:, 2]
-        )
+        dist = sequence_distribution(rho, SequenceSpec(term.sequence, term.bob))
+        cells, counts = _count_outcomes(dist, shots, derive_seed(seed, index))
+        total = int(counts @ (cells[:, term.position - 1] * cells[:, 3]))
+        s_estimates[term.key] = _term_estimate(term.key, exact.s_terms.terms[term.key], total, shots)
+        pooled[term.sequence].append(int(counts @ (cells[:, 0] * cells[:, 1] * cells[:, 2])))
 
-    chi_estimates: dict[str, TermEstimate] = {}
-    for name in SEQUENCE_ORDER:
-        products = np.concatenate(pooled_products[name])
-        # The product operator is exactly ±Identity: take the sign from the
-        # symbolic product, so a deterministic term gets sigma = 0 exactly.
-        exact = _sequence_phase(name)
-        chi_estimates[name] = TermEstimate(
-            key=name,
-            exact=exact,
-            estimate=float(products.mean()),
-            sigma=math.sqrt(max(1.0 - exact * exact, 0.0) / products.size),
-            n_shots=int(products.size),
-        )
-
+    chi_estimates = {
+        name: _term_estimate(name, exact.chi_terms.terms[name], sum(totals), shots * len(totals))
+        for name, totals in pooled.items()
+    }
     chi = ChiTerms({k: t.estimate for k, t in chi_estimates.items()}).chi
     s_terms = STerms({k: t.estimate for k, t in s_estimates.items()})
     s_abs, s_signed = s_terms.s_abs, s_terms.s_signed
@@ -411,5 +399,5 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
         s_signed=s_signed,
         omega_abs=chi + s_abs,
         omega_signed=chi + s_signed,
-        exact=omega(rho),
+        exact=exact,
     )

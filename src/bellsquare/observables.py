@@ -20,6 +20,7 @@ enter the combined inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -189,3 +190,10 @@ def mermin_square_check() -> SquareCheck:
 
     chi_combination = float(sum(CHI_SIGNS[n] * products[n] for n in SEQUENCE_ORDER))
     return SquareCheck(products=products, chi_combination=chi_combination, max_matrix_deviation=max_dev)
+
+
+def _checked_int(name: str, value, low=float("-inf"), high=float("inf")) -> int:
+    """``value`` as an int; ``ValueError`` for a bool, a non-integer or a value not in [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < high:
+        raise ValueError(f"{name} must lie in [{low}, {high}) and be an integer, got {value!r}")
+    return int(value)

@@ -19,8 +19,9 @@ stream.  Draw ``i`` (0-based) of the stream with seed ``s`` is::
 with ``GOLDEN = 0x9E3779B97F4A7C15`` and ``mix64`` the standard SplitMix64
 finalizer.  Because each draw depends only on (seed, i), splitting a shot
 range across workers and concatenating the results is bit-identical to a
-single pass.  The mapping is frozen by unit tests and will not change
-between releases.
+single pass; the inequality estimator keeps only the count of each cell
+of these draws, taken in chunks of ``_COUNT_CHUNK``, which cannot change
+it.  The mapping is frozen by unit tests and will not change between releases.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES
+from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES, _checked_int
 from .states import DensityState, ZERO_PROBABILITY_TOL, _projectors
 
 PROBABILITY_SUM_TOL = 1e-10
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_COUNT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,16 +148,14 @@ def conditional_pair_expectation(dist: OutcomeDistribution, alice_position: int)
     """
     if dist.spec.bob is None:
         raise ValueError("distribution was built without a Bob observable")
-    if alice_position not in (1, 2, 3):
-        raise ValueError(f"alice_position must be 1, 2 or 3, got {alice_position}")
+    alice_position = _checked_int("alice_position", alice_position, 1, 4)
     value = sum(p * (o[alice_position - 1] * o[3]) for o, p in dist.entries.items())
     return float(value)
 
 
 def alice_marginal(dist: OutcomeDistribution, position: int) -> dict[int, float]:
     """Marginal distribution of the Alice outcome at a 1-based position."""
-    if position not in (1, 2, 3):
-        raise ValueError(f"position must be 1, 2 or 3, got {position}")
+    position = _checked_int("position", position, 1, 4)
     marginal = {1: 0.0, -1: 0.0}
     for outcomes, prob in dist.entries.items():
         marginal[outcomes[position - 1]] += prob
@@ -182,7 +182,7 @@ def _mix64(z: int) -> int:
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Fold sub-stream indices into a base seed; stable across releases."""
-    state = seed & _MASK64
+    state = _checked_int("seed", seed) & _MASK64
     for index in indices:
         state = _mix64((state + (index + 1) * _GOLDEN) & _MASK64)
     return state
@@ -190,14 +190,23 @@ def derive_seed(seed: int, *indices: int) -> int:
 
 def uniform01(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Draws ``start .. start+count-1`` of the uniform [0, 1) stream for ``seed``."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    seed = _checked_int("seed", seed)
+    count = _checked_int("count", count, 0)
+    start = _checked_int("start", start, 0, 2**64 - count)
     counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + counters * np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _inverse_cdf(dist: OutcomeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted outcome cells as int8 rows, and their cumulative probabilities."""
+    cells = sorted(dist.entries)
+    cumulative = np.cumsum([dist.entries[c] for c in cells])
+    cumulative[-1] = 1.0  # guard against rounding just below 1
+    return np.array(cells, dtype=np.int8), cumulative
 
 
 def sample_outcomes(
@@ -212,15 +221,21 @@ def sample_outcomes(
     Returns:
         int8 array of shape (shots, tuple length) with ±1 entries.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    cells = sorted(dist.entries)
-    cumulative = np.cumsum([dist.entries[c] for c in cells])
-    cumulative[-1] = 1.0  # guard against rounding just below 1
-    draws = uniform01(seed, shots, start=first_shot)
-    picks = np.searchsorted(cumulative, draws, side="right")
-    table = np.array(cells, dtype=np.int8)
-    return table[picks]
+    shots = _checked_int("shots", shots, 1)
+    first_shot = _checked_int("first_shot", first_shot, 0, 2**64 - shots)
+    table, cumulative = _inverse_cdf(dist)
+    return table[np.searchsorted(cumulative, uniform01(seed, shots, first_shot), side="right")]
+
+
+def _count_outcomes(dist: OutcomeDistribution, shots: int, seed: int):
+    """The cells of ``_inverse_cdf`` and how often ``sample_outcomes`` draws each."""
+    table, cumulative = _inverse_cdf(dist)
+    counts = np.zeros(len(table), dtype=np.int64)
+    for start in range(0, shots, _COUNT_CHUNK):
+        draws = uniform01(seed, min(_COUNT_CHUNK, shots - start), start)
+        picks = np.searchsorted(cumulative, draws, side="right")
+        counts += np.bincount(picks, minlength=len(table))
+    return table, counts
 
 
 def sample(rho: DensityState, spec: SequenceSpec, shots: int, seed: int) -> list[ShotRecord]:

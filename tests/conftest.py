@@ -5,7 +5,10 @@ The oracle helpers here rebuild everything from scratch with plain numpy
 results are checked against a second, independent route.
 ``oracle_omega_via_distributions`` is the exception: it reaches omega
 through the library's joint outcome distributions, a route independent
-of the Pauli-expectation engine that ``omega`` uses.
+of the Pauli-expectation engine that ``omega`` uses.  Likewise
+``oracle_sampled_inequality`` keeps every shot from the library's
+``sample_outcomes``, the per-shot route that the count-based estimator
+must reproduce bit for bit.
 """
 
 import numpy as np
@@ -18,8 +21,10 @@ from bellsquare import (
     SEQUENCE_ORDER,
     SequenceSpec,
     conditional_pair_expectation,
+    derive_seed,
     four_qubit_state,
     product_expectation,
+    sample_outcomes,
     sequence_distribution,
 )
 
@@ -92,6 +97,36 @@ def oracle_omega_via_distributions(rho) -> dict:
         "s_terms": s_terms,
         "omega_abs": chi + sum(abs(s_terms[t.key]) for t in S_TERMS),
         "omega_signed": chi + sum(t.sign * s_terms[t.key] for t in S_TERMS),
+    }
+
+
+def oracle_sampled_inequality(visibility: float, shots: int, seed: int) -> dict:
+    """Finite-shot estimates from every shot's outcome row: each correlator
+    the mean of its pair products, each chi term the mean of the
+    concatenated Alice products of its sequence's two settings.  Terms map
+    to ``(estimate, n_shots)``."""
+    rho = four_qubit_state(visibility)
+    s_terms, pooled = {}, {name: [] for name in SEQUENCE_ORDER}
+    for index, t in enumerate(S_TERMS):
+        dist = sequence_distribution(rho, SequenceSpec(t.sequence, t.bob))
+        rows = sample_outcomes(dist, shots, derive_seed(seed, index))
+        s_terms[t.key] = (float((rows[:, t.position - 1] * rows[:, 3]).mean()), shots)
+        pooled[t.sequence].append(rows[:, 0] * rows[:, 1] * rows[:, 2])
+    chi_terms = {}
+    for name, parts in pooled.items():
+        products = np.concatenate(parts)
+        chi_terms[name] = (float(products.mean()), products.size)
+    chi = float(sum(CHI_SIGNS[name] * chi_terms[name][0] for name in SEQUENCE_ORDER))
+    s_abs = float(sum(abs(s_terms[t.key][0]) for t in S_TERMS))
+    s_signed = float(sum(t.sign * s_terms[t.key][0] for t in S_TERMS))
+    return {
+        "chi_terms": chi_terms,
+        "s_terms": s_terms,
+        "chi": chi,
+        "s_abs": s_abs,
+        "s_signed": s_signed,
+        "omega_abs": chi + s_abs,
+        "omega_signed": chi + s_signed,
     }
 
 

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellsquare import (
     BOB_LABELS,
@@ -227,6 +228,14 @@ class TestLocalOmegaBound:
         assert _merge(parts, 5) == full
         assert _merge(parts[:2], 5) == _scan(_CONSTRAINED, "abs", 0, 200, 5)
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(edges=st.lists(st.integers(0, N_MODELS), min_size=2, max_size=6),
+           variant=st.sampled_from(["signed", "abs"]), count=st.integers(1, 20))
+    def test_scan_partition_invariant(self, edges, variant, count):
+        edges = sorted(edges)
+        parts = [_scan(_CONSTRAINED, variant, lo, hi, count) for lo, hi in zip(edges, edges[1:])]
+        assert _merge(parts, count) == _scan(_CONSTRAINED, variant, edges[0], edges[-1], count)
+
     @pytest.mark.parametrize("bad", [True, 2.5, "2", 0, -3])
     def test_bad_workers_and_witness_counts_rejected(self, bad):
         with pytest.raises(ValueError, match="workers"):
@@ -306,7 +315,7 @@ class TestInvolution:
             values = block_values(_CONSTRAINED, variant, 0, N_MODELS)
             assert np.array_equal(values, values[idx ^ mask])
 
-    @pytest.mark.parametrize("bad", [-1, N_MODELS, 1 << 40])
+    @pytest.mark.parametrize("bad", [-1, N_MODELS, 1 << 40, 2.5, True])
     def test_rejects_out_of_range_index(self, bad):
         with pytest.raises(ValueError, match=r"index must lie in \[0, 2097152\)"):
             flip_involution(bad)

@@ -1,6 +1,7 @@
 """Tests for inequality assembly, thresholds and sampled estimates."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     LETTER_DEFS,
     oracle_matrix,
     oracle_omega_via_distributions,
+    oracle_sampled_inequality,
     random_density_matrix,
     seeded_state,
 )
@@ -364,3 +366,42 @@ class TestEstimate:
     def test_shots_validated(self):
         with pytest.raises(ValueError):
             estimate_inequality(1.0, 0, seed=1)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("shots", 2.5), ("shots", True), ("shots", -1), ("shots", "10"),
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", None),
+    ])
+    def test_rejects_non_integer_shots_and_seed(self, name, bad):
+        args = {"shots": 10, "seed": 1, name: bad}
+        with pytest.raises(ValueError, match=name):
+            estimate_inequality(0.9, **args)
+
+    @pytest.mark.parametrize("shots", [1, 2000, 65535, 65536, 65537, 200_003])
+    @pytest.mark.parametrize("visibility", [0.0, 0.37, 0.9, 1.0])
+    def test_counts_match_per_shot_oracle(self, visibility, shots):
+        # Bit-identical to the per-shot route, exact references from omega.
+        got = estimate_inequality(visibility, shots, seed=11)
+        want = oracle_sampled_inequality(visibility, shots, seed=11)
+        exact = omega(four_qubit_state(visibility))
+        assert got.exact == exact
+        for terms, want_terms, exact_terms in (
+            (got.chi_terms, want["chi_terms"], exact.chi_terms.terms),
+            (got.s_terms, want["s_terms"], exact.s_terms.terms),
+        ):
+            assert list(terms) == list(want_terms)
+            for key, term in terms.items():
+                assert (term.estimate, term.n_shots) == want_terms[key]
+                assert term.exact == exact_terms[key]
+                assert term.sigma == math.sqrt(max(1.0 - term.exact**2, 0.0) / term.n_shots)
+        for name in ("chi", "s_abs", "s_signed", "omega_abs", "omega_signed"):
+            assert getattr(got, name) == want[name], name
+
+    def test_memory_does_not_grow_with_shots(self):
+        # Keeping every shot peaked near 46 MB; counts need O(chunk) memory.
+        tracemalloc.start()
+        try:
+            estimate_inequality(0.9, 1_000_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

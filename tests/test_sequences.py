@@ -1,9 +1,11 @@
 """Tests for sequence distributions, no-signaling and the shot sampler."""
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bellsquare import (
     BOB_LABELS,
@@ -25,6 +27,7 @@ from bellsquare import (
     sequence_distribution,
     uniform01,
 )
+from bellsquare.sequences import _COUNT_CHUNK, _count_outcomes, _mix64
 
 from conftest import oracle_sequential_distribution, seeded_state
 
@@ -150,8 +153,11 @@ class TestExpectations:
 
     def test_conditional_position_validated(self, ideal_state):
         dist = sequence_distribution(ideal_state, SequenceSpec("ABC", "B'"))
-        with pytest.raises(ValueError):
-            conditional_pair_expectation(dist, 4)
+        for bad in (4, 0, 2.0, True):
+            with pytest.raises(ValueError, match="alice_position"):
+                conditional_pair_expectation(dist, bad)
+            with pytest.raises(ValueError, match="position"):
+                alice_marginal(dist, bad)
 
 
 class TestNoSignaling:
@@ -197,6 +203,11 @@ class TestRngStream:
         assert derive_seed(42, 1) == 2949826092126892291
         assert derive_seed(42, 0, 1) == 17630415256238047317
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None])
+    def test_derive_seed_rejects_non_integer_seed(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            derive_seed(bad, 0)
+
     def test_stream_is_counter_indexed(self):
         full = uniform01(7, 100)
         head = uniform01(7, 60)
@@ -206,6 +217,22 @@ class TestRngStream:
     def test_range(self):
         draws = uniform01(123, 10000)
         assert draws.min() >= 0.0 and draws.max() < 1.0
+
+    @pytest.mark.parametrize("name, bad", [
+        ("seed", 1.5), ("seed", True), ("count", 2.5), ("count", True), ("count", -1),
+        ("start", -5), ("start", 2.0), ("start", 2**64 - 3),
+    ])
+    def test_rejects_bad_integers(self, name, bad):
+        args = {"seed": 1, "count": 3, "start": 0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            uniform01(**args)
+
+    def test_last_counters_follow_contract(self):
+        # Draws up to counter 2^64 - 1 are valid and follow the formula.
+        start = 2**64 - 4
+        want = [(_mix64(7 + (start + k + 1) * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+                for k in range(3)]
+        assert uniform01(7, 3, start=start).tolist() == want
 
 
 class TestSampler:
@@ -218,6 +245,24 @@ class TestSampler:
     def test_zero_shots_rejected(self, ideal_state):
         with pytest.raises(ValueError):
             sample(ideal_state, SequenceSpec("ABC"), 0, seed=1)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("shots", 2.5), ("shots", True), ("shots", 0), ("seed", 1.5), ("seed", True),
+    ])
+    def test_sample_rejects_bad_integers(self, ideal_state, name, bad):
+        args = {"shots": 3, "seed": 1, name: bad}
+        with pytest.raises(ValueError, match=name):
+            sample(ideal_state, SequenceSpec("ABC"), **args)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("shots", 2.5), ("shots", True), ("shots", 0), ("seed", 1.5), ("seed", None),
+        ("first_shot", -3), ("first_shot", 1.0), ("first_shot", 2**64 - 3),
+    ])
+    def test_sample_outcomes_rejects_bad_integers(self, ideal_state, name, bad):
+        dist = sequence_distribution(ideal_state, SequenceSpec("ABC"))
+        args = {"shots": 3, "seed": 1, "first_shot": 0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            sample_outcomes(dist, **args)
 
     def test_abc_products_all_plus_one(self, ideal_state):
         records = sample(ideal_state, SequenceSpec("ABC"), 100_000, seed=3)
@@ -259,5 +304,51 @@ class TestSampler:
         pieces = np.vstack([
             sample_outcomes(dist, 400, seed=17, first_shot=0),
             sample_outcomes(dist, 600, seed=17, first_shot=400),
+        ])
+        assert np.array_equal(whole, pieces)
+
+
+# Property tests: a fixed example seed and no deadline keep them
+# deterministic and fast enough for every run.
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@cache
+def setting_distribution(index: int):
+    t = S_TERMS[index]
+    return sequence_distribution(four_qubit_state(0.7), SequenceSpec(t.sequence, t.bob))
+
+
+class TestSamplerProperties:
+    @PROPERTY
+    @given(index=st.integers(0, len(S_TERMS) - 1), seed=st.integers(0, 2**64 - 1),
+           shots=st.integers(1, 3 * _COUNT_CHUNK + 7))
+    @example(index=0, seed=0, shots=_COUNT_CHUNK - 1)
+    @example(index=3, seed=1, shots=_COUNT_CHUNK)
+    @example(index=11, seed=2**64 - 1, shots=2 * _COUNT_CHUNK + 1)
+    def test_counts_match_sampled_rows(self, index, seed, shots):
+        # Chunked counts are the cell counts of the per-shot rows.
+        dist = setting_distribution(index)
+        table, counts = _count_outcomes(dist, shots, seed)
+        assert table.tolist() == [list(cell) for cell in sorted(dist.entries)]
+        # Recover each row's pick (its cell's place in the table) from the
+        # bit pattern of its -1 entries.
+        weights = 1 << np.arange(table.shape[1])
+        place = np.full(1 << table.shape[1], -1)
+        place[(table < 0) @ weights] = np.arange(len(table))
+        picks = place[(sample_outcomes(dist, shots, seed) < 0) @ weights]
+        assert picks.min() >= 0
+        assert np.array_equal(counts, np.bincount(picks, minlength=len(table)))
+
+    @PROPERTY
+    @given(index=st.integers(0, len(S_TERMS) - 1), seed=st.integers(0, 2**64 - 1),
+           start=st.integers(0, 2**63), count=st.integers(2, 5000), cut=st.integers(1, 4999))
+    def test_sample_outcomes_partition_invariant(self, index, seed, start, count, cut):
+        dist = setting_distribution(index)
+        cut = 1 + cut % (count - 1)
+        whole = sample_outcomes(dist, count, seed, first_shot=start)
+        pieces = np.vstack([
+            sample_outcomes(dist, cut, seed, first_shot=start),
+            sample_outcomes(dist, count - cut, seed, first_shot=start + cut),
         ])
         assert np.array_equal(whole, pieces)
