@@ -2,10 +2,10 @@
 Bell test built on a 3x3 square of two-qubit observables.
 
 The package reproduces every quantum prediction of the experiment exactly
-(state preparation with per-pair white noise, sequential projective
-measurements, conditional correlators, inequality values, visibility
-thresholds) and computes the classical bounds by exhaustively enumerating
-deterministic hidden-variable models.
+(state preparation with per-pair white noise, each measurement sequence as
+one joint measurement of commuting observables, conditional correlators,
+inequality values, visibility thresholds) and computes the classical bounds
+by exhaustively enumerating deterministic hidden-variable models.
 """
 
 __version__ = "0.1.0"
@@ -28,8 +28,6 @@ from .states import (
     DensityState,
     expectation,
     four_qubit_state,
-    luders_update,
-    partial_trace,
     singlet_pair,
     werner_pair,
 )
@@ -87,8 +85,8 @@ __all__ = [
     "ALICE_LABELS", "BOB_LABELS", "CHI_SIGNS", "OBSERVABLES", "PAIR_SIGNS",
     "S_TERMS", "SEQUENCE_ORDER", "SEQUENCES", "Observable", "STermSpec",
     "mermin_square_check",
-    "DensityState", "expectation", "four_qubit_state", "luders_update",
-    "partial_trace", "singlet_pair", "werner_pair",
+    "DensityState", "expectation", "four_qubit_state", "singlet_pair",
+    "werner_pair",
     "OutcomeDistribution", "SequenceSpec", "ShotRecord", "alice_marginal",
     "bob_marginal", "conditional_pair_expectation", "derive_seed",
     "product_expectation", "sample", "sample_outcomes",

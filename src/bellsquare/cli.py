@@ -58,6 +58,9 @@ EXIT_USAGE = 2
 
 IDENTITY_MATRIX_TOL = 1e-12
 CHI_CONSTANCY_TOL = 1e-9
+# Largest sweep grid, the point count of 0:1:1e-5; checked before the grid
+# is built, so a tiny step cannot fill memory.
+MAX_GRID_POINTS = 100_001
 
 
 def _round12(x: float) -> float:
@@ -237,7 +240,7 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
 
 
 def cmd_sweep(args) -> tuple[dict, bool]:
-    grid = _parse_grid(args.grid)
+    grid = args.grid_points  # parsed once, by _validate
     variant = "signed" if args.variant == "both" else args.variant
     result = sweep(grid, variant)
     rows = [asdict(r) for r in result.rows]
@@ -283,6 +286,11 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid step must be positive, got {step}")
     if not (0.0 <= start < stop <= 1.0):
         raise ValueError(f"grid must satisfy 0 <= start < stop <= 1, got {text!r}")
+    too_many = f"grid {text!r} has more than {MAX_GRID_POINTS} points"
+    # The loop below builds floor(this) + 1 points, and then stop if the
+    # last of them falls short of it; the length check below covers that.
+    if (stop + 1e-12 - start) / step >= MAX_GRID_POINTS:
+        raise ValueError(too_many)
     values = []
     i = 0
     while True:
@@ -293,6 +301,10 @@ def _parse_grid(text: str) -> list[float]:
         i += 1
     if values[-1] < stop - 1e-12:
         values.append(stop)
+    if len(values) > MAX_GRID_POINTS:
+        raise ValueError(too_many)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"grid {text!r} repeats points once rounded to 12 significant digits")
     return values
 
 
@@ -362,7 +374,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--format csv is only available for the sweep command")
     if args.command == "sweep":
         try:
-            _parse_grid(args.grid)
+            args.grid_points = _parse_grid(args.grid)
         except ValueError as exc:
             parser.error(str(exc))
 

@@ -187,17 +187,17 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return parity % 2 == 0
 
 
-def to_matrix(p: PauliString, max_qubits: int = MATRIX_QUBIT_CAP) -> np.ndarray:
+def to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n complex matrix of the string.
 
     The returned array is cached and marked read-only; copy before mutating.
 
     Raises:
-        ValueError: If ``p.n_qubits`` exceeds ``max_qubits``.
+        ValueError: If ``p.n_qubits`` exceeds ``MATRIX_QUBIT_CAP``.
     """
-    if p.n_qubits > max_qubits:
+    if p.n_qubits > MATRIX_QUBIT_CAP:
         raise ValueError(
-            f"refusing to build a 2^{p.n_qubits} matrix (cap is {max_qubits} qubits)"
+            f"refusing to build a 2^{p.n_qubits} matrix (cap is {MATRIX_QUBIT_CAP} qubits)"
         )
     return _matrix_cached(p)
 

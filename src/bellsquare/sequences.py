@@ -27,16 +27,18 @@ it.  The mapping is frozen by unit tests and will not change between releases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES, _checked_int
-from .states import DensityState, ZERO_PROBABILITY_TOL, _projectors
+from .pauli import PauliString, to_matrix
+from .states import DensityState
 
 PROBABILITY_SUM_TOL = 1e-10
+ZERO_PROBABILITY_TOL = 1e-12
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -106,6 +108,18 @@ class ShotRecord(NamedTuple):
 def _check_four_qubits(rho: DensityState) -> None:
     if rho.n_qubits != 4:
         raise ValueError(f"sequences are defined on 4 qubits, state has {rho.n_qubits}")
+
+
+@lru_cache(maxsize=None)
+def _projectors(obs: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only projectors (I + P)/2 and (I - P)/2 onto the ±1 eigenspaces."""
+    m = to_matrix(obs)
+    eye = np.eye(m.shape[0], dtype=complex)
+    plus = (eye + m) / 2
+    minus = (eye - m) / 2
+    plus.flags.writeable = False
+    minus.flags.writeable = False
+    return plus, minus
 
 
 def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistribution:

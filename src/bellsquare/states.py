@@ -1,10 +1,9 @@
 """Dense density-operator engine for small qubit registers.
 
 Builds the ideal four-qubit preparation (singlets pairing qubits 1-3 and
-2-4) with optional per-pair white noise, and provides expectation values,
-projective (Lüders-rule) measurement updates and partial traces.  Every
-returned state is validated: finite entries, unit trace, Hermitian,
-positive semidefinite within fixed tolerances.
+2-4) with optional per-pair white noise, and reads expectation values of
+Pauli strings from it.  Every returned state is validated: finite entries,
+unit trace, Hermitian, positive semidefinite within fixed tolerances.
 
 States are immutable; the backing arrays are marked read-only.
 """
@@ -12,7 +11,6 @@ States are immutable; the backing arrays are marked read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,10 +18,10 @@ from .pauli import PauliString, to_matrix
 
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
-# Eigenvalue tolerance is looser: repeated Lüders renormalizations
-# accumulate rounding at the 1e-15 scale per step.
+# Eigenvalue tolerance is looser: eigvalsh returns the exact zero
+# eigenvalues of a valid state (a pure one, say) as rounding-scale
+# negatives, and caller-built matrices carry their own rounding.
 EIGENVALUE_TOL = 1e-9
-ZERO_PROBABILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,67 +133,3 @@ def expectation(rho: DensityState, obs: PauliString) -> float:
     if abs(real) > 1 + EIGENVALUE_TOL:
         raise RuntimeError(f"expectation of {obs.label} out of range: {real}")
     return float(min(1.0, max(-1.0, real)))
-
-
-@lru_cache(maxsize=None)
-def _projectors(obs: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    m = to_matrix(obs)
-    eye = np.eye(m.shape[0], dtype=complex)
-    plus = (eye + m) / 2
-    minus = (eye - m) / 2
-    plus.flags.writeable = False
-    minus.flags.writeable = False
-    return plus, minus
-
-
-def luders_update(
-    rho: DensityState, obs: PauliString, outcome: int
-) -> tuple[float, DensityState | None]:
-    """Projective measurement update for one outcome of a Pauli observable.
-
-    Args:
-        rho: State before the measurement.
-        obs: Hermitian Pauli string with ±1 eigenvalues.
-        outcome: +1 or -1.
-
-    Returns:
-        ``(probability, post_state)`` where the post-state is the
-        renormalized projected state, or ``(0.0, None)`` when the outcome
-        probability falls below ``ZERO_PROBABILITY_TOL``.
-    """
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    _check_observable(rho, obs)
-    proj = _projectors(obs)[0 if outcome == 1 else 1]
-    prob = float(np.real(np.trace(proj @ rho.matrix)))
-    if prob < ZERO_PROBABILITY_TOL:
-        return 0.0, None
-    post = proj @ rho.matrix @ proj / prob
-    post = (post + post.conj().T) / 2
-    return prob, DensityState(post)
-
-
-def partial_trace(rho: DensityState, keep) -> DensityState:
-    """Trace out all qubits except ``keep`` (1-based qubit numbers).
-
-    The kept qubits retain their relative order.
-    """
-    kept = sorted(set(int(q) for q in keep))
-    if not kept:
-        raise ValueError("keep must name at least one qubit")
-    if kept[0] < 1 or kept[-1] > rho.n_qubits:
-        raise ValueError(f"keep={kept} outside qubits 1..{rho.n_qubits}")
-    if len(kept) == rho.n_qubits:
-        return rho
-
-    n = rho.n_qubits
-    t = rho.matrix.reshape((2,) * (2 * n))
-    row_subs = list(range(n))
-    col_subs = [n + j for j in range(n)]
-    for j in range(n):
-        if (j + 1) not in kept:
-            col_subs[j] = row_subs[j]  # contract the traced qubit
-    out_subs = [j - 1 for j in kept] + [n + j - 1 for j in kept]
-    reduced = np.einsum(t, row_subs + col_subs, out_subs)
-    dim = 1 << len(kept)
-    return DensityState(reduced.reshape(dim, dim))

@@ -51,7 +51,9 @@ class TestExitCodes:
             main(["quantum", "--format", "csv"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("grid", ["0:2:0.5", "0:1:nan", "0:1:inf"])
+    @pytest.mark.parametrize(
+        "grid", ["0:2:0.5", "0:1:nan", "0:1:inf", "0.5:0.5000000000001:1e-14", "0:1:1e-9"]
+    )
     def test_bad_grid_is_usage_error(self, capsys, grid):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--grid", grid])

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellsquare import OBSERVABLES, PauliString, commutes, pauli_mul, pauli_product, to_matrix
+from bellsquare.pauli import MATRIX_QUBIT_CAP
 
 from conftest import oracle_matrix
 
@@ -138,10 +140,10 @@ class TestToMatrix:
         assert np.max(np.abs(numeric - np.eye(16))) <= 1e-12
 
     def test_qubit_cap(self):
-        big = PauliString.identity(7)
         with pytest.raises(ValueError):
-            to_matrix(big)
-        assert to_matrix(big, max_qubits=7).shape == (128, 128)
+            to_matrix(PauliString.identity(MATRIX_QUBIT_CAP + 1))
+        dim = 1 << MATRIX_QUBIT_CAP
+        assert to_matrix(PauliString.identity(MATRIX_QUBIT_CAP)).shape == (dim, dim)
 
     def test_hermiticity_flag_matches_matrix(self):
         rng = np.random.default_rng(7)
@@ -149,3 +151,25 @@ class TestToMatrix:
             p = PauliString(3, int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(4)))
             m = to_matrix(p)
             assert p.is_hermitian == bool(np.allclose(m, m.conj().T))
+
+
+@st.composite
+def pauli_pairs(draw):
+    """Two random signed Pauli strings on the same 1 to 3 qubits."""
+    n = draw(st.integers(1, 3))
+    masks = st.integers(0, (1 << n) - 1)
+    return tuple(
+        PauliString(n, draw(masks), draw(masks), draw(st.integers(0, 3)))
+        for _ in range(2)
+    )
+
+
+class TestAlgebraProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pair=pauli_pairs())
+    def test_symbolic_rules_match_matrices(self, pair):
+        # Entries are 0, ±1 and ±i, so the matrix products are exact.
+        p, q = pair
+        left, right = to_matrix(p) @ to_matrix(q), to_matrix(q) @ to_matrix(p)
+        assert np.array_equal(to_matrix(p * q), left)
+        assert commutes(p, q) == np.array_equal(left, right)

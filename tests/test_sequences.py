@@ -161,9 +161,14 @@ class TestExpectations:
 
 
 class TestNoSignaling:
-    @pytest.mark.parametrize("visibility", [0.0, 0.5, 1.0])
-    def test_bob_marginal_independent_of_sequence(self, visibility):
-        rho = four_qubit_state(visibility)
+    @pytest.mark.parametrize(
+        "kind, param",
+        [pytest.param("werner", v, id=str(v)) for v in (0.0, 0.5, 1.0)]
+        + [pytest.param("full_rank", s, id=f"full_rank-{s}") for s in (14, 15, 16)]
+        + [pytest.param("pure", s, id=f"pure-{s}") for s in (24, 25, 26)],
+    )
+    def test_bob_marginal_independent_of_sequence(self, kind, param):
+        rho = seeded_state(kind, param)
         for bob in BOB_LABELS:
             marginals = [
                 bob_marginal(sequence_distribution(rho, SequenceSpec(name, bob)))

@@ -1,5 +1,7 @@
 """Tests for the density-operator engine."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,12 @@ from bellsquare import (
     PauliString,
     expectation,
     four_qubit_state,
-    luders_update,
     pauli_mul,
-    partial_trace,
     singlet_pair,
     werner_pair,
 )
 
-from conftest import oracle_matrix, random_density_matrix
+from conftest import oracle_matrix
 
 
 def pair_string(alice_label: str, bob_label: str) -> PauliString:
@@ -111,9 +111,19 @@ class TestFourQubitState:
     def test_ideal_correlations(self, ideal_state, alice, bob, value):
         assert expectation(ideal_state, pair_string(alice, bob)) == pytest.approx(value, abs=1e-10)
 
-    def test_reduced_alice_state_is_mixed(self, ideal_state):
-        reduced = partial_trace(ideal_state, keep=(1, 2))
-        assert np.allclose(reduced.matrix, np.eye(4) / 4, atol=1e-12)
+    @pytest.mark.parametrize("visibility", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_reduced_states_are_maximally_mixed(self, visibility, side):
+        # The 15 non-identity Paulis on one side's two qubits span the
+        # traceless operators there, so all-zero expectations mean that
+        # side's reduced state is I/4.
+        rho = four_qubit_state(visibility)
+        for letters in product("IXYZ", repeat=2):
+            if letters == ("I", "I"):
+                continue
+            pair = "".join(letters)
+            label = pair + "II" if side == "alice" else "II" + pair
+            assert expectation(rho, PauliString.from_label(label)) == pytest.approx(0, abs=1e-12)
 
     def test_zero_visibility_is_identity(self):
         assert np.allclose(four_qubit_state(0.0).matrix, np.eye(16) / 16, atol=1e-15)
@@ -150,112 +160,6 @@ class TestExpectation:
     def test_result_in_range(self, ideal_state):
         for obs in OBSERVABLES.values():
             assert -1.0 <= expectation(ideal_state, obs.pauli) <= 1.0
-
-
-class TestLudersUpdate:
-    def test_repeat_reproduces_outcome(self, ideal_state):
-        obs = OBSERVABLES["A"].pauli
-        prob, post = luders_update(ideal_state, obs, 1)
-        assert prob == pytest.approx(0.5, abs=1e-12)
-        again, _ = luders_update(post, obs, 1)
-        assert again == pytest.approx(1.0, abs=1e-12)
-        zero, none_state = luders_update(post, obs, -1)
-        assert zero == 0.0 and none_state is None
-
-    def test_probabilities_sum_to_one(self, ideal_state):
-        for label in ("A", "γ", "β'"):
-            obs = OBSERVABLES[label].pauli
-            p_plus, _ = luders_update(ideal_state, obs, 1)
-            p_minus, _ = luders_update(ideal_state, obs, -1)
-            assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_outcome(self, ideal_state):
-        with pytest.raises(ValueError):
-            luders_update(ideal_state, OBSERVABLES["A"].pauli, 0)
-
-    def test_zero_probability_marker(self):
-        ground = np.zeros((2, 2), dtype=complex)
-        ground[0, 0] = 1.0
-        prob, post = luders_update(DensityState(ground), PauliString.from_label("Z"), -1)
-        assert prob == 0.0 and post is None
-
-    def test_cc_correlation_survives_gamma_then_c(self, ideal_state):
-        # Branch-averaged <CC'> after measuring γ then c stays +1.
-        cc = pair_string("C", "C'")
-        total = 0.0
-        for first in (1, -1):
-            p1, state1 = luders_update(ideal_state, OBSERVABLES["γ"].pauli, first)
-            if state1 is None:
-                continue
-            for second in (1, -1):
-                p2, state2 = luders_update(state1, OBSERVABLES["c"].pauli, second)
-                if state2 is None:
-                    continue
-                total += p1 * p2 * expectation(state2, cc)
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_update_chain_yields_valid_states(self, ideal_state):
-        # Construction re-validates trace/Hermiticity/positivity each step.
-        state = ideal_state
-        for label, outcome in (("γ", 1), ("β", -1), ("α", 1), ("C'", -1)):
-            prob, nxt = luders_update(state, OBSERVABLES[label].pauli, outcome)
-            if nxt is None:
-                break
-            assert 0.0 <= prob <= 1.0 + 1e-12
-            state = nxt
-
-    def test_nondisturbance_of_compatible_partner(self):
-        # Marginal of the second observable is untouched by measuring the
-        # first, for every adjacent pair in every sequence.
-        from bellsquare import SEQUENCES
-        rho = four_qubit_state(0.7)
-        for labels in SEQUENCES.values():
-            for first, second in zip(labels, labels[1:]):
-                direct = (1 + expectation(rho, OBSERVABLES[second].pauli)) / 2
-                after = 0.0
-                for outcome in (1, -1):
-                    p1, post = luders_update(rho, OBSERVABLES[first].pauli, outcome)
-                    if post is None:
-                        continue
-                    p2, _ = luders_update(post, OBSERVABLES[second].pauli, 1)
-                    after += p1 * p2
-                assert after == pytest.approx(direct, abs=1e-10)
-
-
-class TestPartialTrace:
-    def test_keep_all_is_identity_operation(self, ideal_state):
-        assert partial_trace(ideal_state, keep=(1, 2, 3, 4)) is ideal_state
-
-    def test_single_qubit_marginal(self, ideal_state):
-        reduced = partial_trace(ideal_state, keep=(1,))
-        assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(11)
-        rho = DensityState(random_density_matrix(rng, 16))
-        reduced = partial_trace(rho, keep=(2, 4))
-        assert np.trace(reduced.matrix) == pytest.approx(1.0, abs=1e-12)
-
-    def test_bob_marginal_of_ideal_state(self, ideal_state):
-        reduced = partial_trace(ideal_state, keep=(3, 4))
-        assert np.allclose(reduced.matrix, np.eye(4) / 4, atol=1e-12)
-
-    def test_oracle_cross_check(self):
-        # Compare against an einsum-free oracle on a random product state.
-        rng = np.random.default_rng(5)
-        alice = random_density_matrix(rng, 4)
-        bob = random_density_matrix(rng, 4)
-        rho = DensityState(np.kron(alice, bob))
-        assert np.allclose(partial_trace(rho, keep=(1, 2)).matrix, alice, atol=1e-12)
-        assert np.allclose(partial_trace(rho, keep=(3, 4)).matrix, bob, atol=1e-12)
-
-    def test_errors(self, ideal_state):
-        with pytest.raises(ValueError):
-            partial_trace(ideal_state, keep=())
-        with pytest.raises(ValueError):
-            partial_trace(ideal_state, keep=(0, 1))
-        with pytest.raises(ValueError):
-            partial_trace(ideal_state, keep=(5,))
 
 
 def test_four_qubit_state_matches_oracle_construction():
