@@ -53,8 +53,6 @@ from .inequality import (
     STerms,
     SampledInequality,
     estimate_inequality,
-    evaluate_chi,
-    evaluate_s,
     fidelity_from_visibility,
     find_violation_threshold,
     omega,
@@ -93,9 +91,8 @@ __all__ = [
     "sequence_distribution", "uniform01",
     "ChiTerms", "InequalityReport", "LOCAL_OMEGA_BOUND",
     "NONCONTEXTUAL_CHI_BOUND", "STerms", "SampledInequality",
-    "estimate_inequality", "evaluate_chi", "evaluate_s",
-    "fidelity_from_visibility", "find_violation_threshold", "omega",
-    "sweep", "visibility_threshold",
+    "estimate_inequality", "fidelity_from_visibility",
+    "find_violation_threshold", "omega", "sweep", "visibility_threshold",
     "BoundResult", "GapReport", "HVModel", "NoncontextualAssignment",
     "bound_gap_report", "chain_inequality_check", "chain_inequality_scan",
     "decode_model", "encode_model", "evaluate_model", "flip_involution",

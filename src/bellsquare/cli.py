@@ -9,7 +9,8 @@ Subcommands:
 
 Reports are JSON (CSV is available for the sweep table only).  All floats
 are serialized with 12 significant digits.  Exit codes: 0 all checks
-passed, 1 a physics check failed, 2 usage error.  When ``--out`` is not
+passed, 1 a physics check failed, 2 usage error (an unwritable report
+path included).  When ``--out`` is not
 given and the environment variable ``BELLSQUARE_OUT`` names a directory,
 the report is written there as ``<command>.<format>``; otherwise it goes
 to stdout.
@@ -240,13 +241,10 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
 
 
 def cmd_sweep(args) -> tuple[dict, bool]:
-    grid = args.grid_points  # parsed once, by _validate
-    variant = "signed" if args.variant == "both" else args.variant
-    result = sweep(grid, variant)
+    result = sweep(args.grid_points)  # parsed once, by _validate
     rows = [asdict(r) for r in result.rows]
     chi_measured = result.rows[0].chi
     results = {
-        "variant": variant,
         "rows": rows,
         "crossing_bracket": list(result.crossing_bracket) if result.crossing_bracket else None,
         "crossing": result.crossing,
@@ -354,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="inequality values over a visibility grid")
     p.add_argument("--grid", default="0:1:0.01", help="start:stop:step in [0, 1]")
-    p.add_argument("--variant", choices=["abs", "signed", "both"], default="signed")
     p.add_argument("--chi-expt", type=float, default=None,
                    help="observed chi value for an extra threshold entry")
     add_output_flags(p)
@@ -416,19 +413,23 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - started
 
     if args.format == "csv":
-        _emit(_sweep_csv(results), args)
-        return EXIT_PASS if passed else EXIT_PHYSICS_FAILURE
-
-    report = {
-        "tool": "bellsquare",
-        "version": __version__,
-        "command": args.command,
-        "config": _config_echo(args),
-        "passed": passed,
-        "results": results,
-        "elapsed_seconds": elapsed,
-    }
-    _emit(json.dumps(_jsonable(report), indent=2) + "\n", args)
+        text = _sweep_csv(results)
+    else:
+        report = {
+            "tool": "bellsquare",
+            "version": __version__,
+            "command": args.command,
+            "config": _config_echo(args),
+            "passed": passed,
+            "results": results,
+            "elapsed_seconds": elapsed,
+        }
+        text = json.dumps(_jsonable(report), indent=2) + "\n"
+    try:
+        _emit(text, args)
+    except OSError as exc:  # an unwritable --out or BELLSQUARE_OUT path; exc names it
+        print(f"bellsquare: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_PASS if passed else EXIT_PHYSICS_FAILURE
 
 

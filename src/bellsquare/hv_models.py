@@ -44,6 +44,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
+from numbers import Integral
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -107,6 +108,12 @@ _RELAXED_BIT = {
 _CONSTRAINED = _layout(_MODEL_BIT)
 _RELAXED = _layout(_RELAXED_BIT)
 
+
+def _is_sign(value) -> bool:
+    """True for the integers +1 and -1; a bool or a float such as 1.0 is not an outcome."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value in (1, -1)
+
+
 # Bob partner of each sequence slot (used by the chain inequality).
 _SEQ_BOB: dict[str, dict[int, str]] = {}
 for _t in S_TERMS:
@@ -128,7 +135,7 @@ class NoncontextualAssignment:
         keys = frozenset(self.values)
         if keys not in (_ALICE_KEYSET, _FIRST_MEASUREMENT_KEYSET):
             raise ValueError(f"unexpected assignment labels {sorted(keys)}")
-        if any(v not in (1, -1) for v in self.values.values()):
+        if not all(map(_is_sign, self.values.values())):
             raise ValueError("assignment values must be ±1")
 
     def chi(self) -> int:
@@ -180,7 +187,7 @@ class HVModel:
         if set(self.bob) != set(BOB_LABELS):
             raise ValueError(f"bob table must cover {BOB_LABELS}")
         values = list(self.alice.values()) + list(self.bob.values())
-        if any(v not in (1, -1) for v in values):
+        if not all(map(_is_sign, values)):
             raise ValueError("outcomes must be ±1")
         for leader in SEQUENCE_LEADERS:
             firsts = {

@@ -14,20 +14,23 @@ Both variants are computed and reported because the exhaustive
 hidden-variable scan gives them different classical bounds (16 for
 signed, 18 for abs); see :mod:`bellsquare.hv_models`.
 
-The exact engine needs no outcome distribution.  All the observables of
-a setting commute, so each correlator is the expectation of one Pauli
-product, <A B'> = tr(ρ · A · B'), read from one contraction of ρ with a
-cached stack of the twelve product matrices.  Each chi term is the
-identity coefficient of its sequence product, exactly ±1 for every state
+``omega(rho)`` is the one entry point to the exact engine, which needs
+no outcome distribution.  All the observables of a setting commute, so
+each correlator is the expectation of one Pauli product,
+<A B'> = tr(ρ · A · B'), read from one contraction of ρ with a cached
+stack of the twelve product matrices.  Each chi term is the identity
+coefficient of its sequence product, exactly ±1 for every state
 (compatible sequences have joint-measurement statistics: Gühne et al.,
 PRA 81, 022121 (2010)).  The outcome distributions of
 :mod:`bellsquare.sequences` serve the finite-shot sampler.
 
 For the noisy preparation the signed S value is the polynomial
 ``4V + 8V**2`` in the visibility V while chi stays pinned at 6, so the
-combined value crosses 16 at ``V = (sqrt(21) - 1) / 4 ≈ 0.8956``.  The
-closed-form threshold ``visibility_threshold`` generalizes this to an
-observed chi value.
+combined value crosses 16 at ``V = (sqrt(21) - 1) / 4 ≈ 0.8956``.  Every
+correlator of that family is zero or carries its ideal sign, so the abs
+and signed omega are the same number there: ``sweep`` reports both per
+row and bisects on the signed one.  The closed-form threshold
+``visibility_threshold`` generalizes the root to an observed chi value.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ from .states import HERMITICITY_TOL, DensityState, four_qubit_state
 
 NONCONTEXTUAL_CHI_BOUND = 4.0
 LOCAL_OMEGA_BOUND = 16.0
-
-S_VARIANTS = ("abs", "signed")
 
 
 @dataclass(frozen=True)
@@ -93,20 +94,18 @@ class InequalityReport:
     s_signed: float
     omega_abs: float
     omega_signed: float
-    chi_bound: float = NONCONTEXTUAL_CHI_BOUND
-    omega_bound: float = LOCAL_OMEGA_BOUND
 
     @property
     def violated_abs(self) -> bool:
-        return self.omega_abs > self.omega_bound
+        return self.omega_abs > LOCAL_OMEGA_BOUND
 
     @property
     def violated_signed(self) -> bool:
-        return self.omega_signed > self.omega_bound
+        return self.omega_signed > LOCAL_OMEGA_BOUND
 
     @property
     def chi_violated(self) -> bool:
-        return self.chi > self.chi_bound
+        return self.chi > NONCONTEXTUAL_CHI_BOUND
 
 
 @cache
@@ -126,49 +125,29 @@ def _s_operator_stack() -> np.ndarray:
     return stack
 
 
-def evaluate_chi(rho: DensityState) -> ChiTerms:
-    """Per-sequence product expectations: the exact sequence phases.
+def omega(rho: DensityState) -> InequalityReport:
+    """Full inequality report for a four-qubit state, both S variants.
 
-    Each sequence is a commuting triple whose operator product is
-    ±Identity, so its product expectation is that sign for every state;
-    it is read from the symbolic Pauli product, never estimated.
-    """
-    _check_four_qubits(rho)
-    return ChiTerms(terms={name: _sequence_phase(name) for name in SEQUENCE_ORDER})
-
-
-def evaluate_s(rho: DensityState, variant: str) -> tuple[STerms, float]:
-    """The twelve conditional correlators and their ``variant`` total.
-
-    Alice's observable and Bob's partner commute with the rest of the
-    setting, so each correlator is tr(ρ · A · B'), computed for all twelve
-    terms by one contraction against the cached operator stack.
-
-    Args:
-        rho: Four-qubit state.
-        variant: ``"abs"`` or ``"signed"``.
+    Each chi term is the identity coefficient of its sequence's operator
+    product: a commuting triple multiplies to ±Identity, so the term is
+    that sign for every state, read from the symbolic Pauli product and
+    never estimated.  Alice's observable and Bob's partner commute with the
+    rest of their setting, so each of the twelve correlators is
+    tr(ρ · A · B'), all computed by one contraction against the cached
+    operator stack.
 
     Raises:
-        ValueError: On an unknown variant or a state not on 4 qubits.
+        ValueError: On a state not on 4 qubits.
         RuntimeError: If a correlator has an imaginary part above
             ``HERMITICITY_TOL``.
     """
-    if variant not in S_VARIANTS:
-        raise ValueError(f"variant must be one of {S_VARIANTS}, got {variant!r}")
     _check_four_qubits(rho)
     values = np.einsum("kij,ji->k", _s_operator_stack(), rho.matrix)
     worst = float(np.max(np.abs(values.imag)))
     if worst > HERMITICITY_TOL:
         raise RuntimeError(f"correlator has imaginary part {worst}")
+    chi_terms = ChiTerms(terms={name: _sequence_phase(name) for name in SEQUENCE_ORDER})
     s_terms = STerms(terms=dict(zip((t.key for t in S_TERMS), values.real.tolist())))
-    total = s_terms.s_abs if variant == "abs" else s_terms.s_signed
-    return s_terms, total
-
-
-def omega(rho: DensityState) -> InequalityReport:
-    """Full inequality report for a state; both S variants are included."""
-    chi_terms = evaluate_chi(rho)
-    s_terms, _ = evaluate_s(rho, "signed")
     chi = chi_terms.chi
     s_abs = s_terms.s_abs
     s_signed = s_terms.s_signed
@@ -220,21 +199,20 @@ class SweepRow:
 class SweepResult:
     """Inequality values over a visibility grid.
 
-    ``crossing_bracket`` is the first grid interval on which the selected
-    variant's omega crosses the bound 16 (None if it never does), and
-    ``crossing`` is that root refined by bisection on the exact engine.
+    ``crossing_bracket`` is the first grid interval on which the signed
+    omega crosses the bound 16 (None if it never does), and ``crossing`` is
+    that root refined by bisection on the exact engine.  On this state
+    family the abs and signed omega are the same number, so both cross
+    together.
     """
 
-    variant: str
     rows: tuple[SweepRow, ...]
     crossing_bracket: tuple[float, float] | None
     crossing: float | None
 
 
-def sweep(v_grid, variant: str = "signed") -> SweepResult:
+def sweep(v_grid) -> SweepResult:
     """Evaluate the inequality on an ascending visibility grid."""
-    if variant not in S_VARIANTS:
-        raise ValueError(f"variant must be one of {S_VARIANTS}, got {variant!r}")
     grid = [float(v) for v in v_grid]
     if not grid:
         raise ValueError("v_grid must not be empty")
@@ -257,36 +235,29 @@ def sweep(v_grid, variant: str = "signed") -> SweepResult:
             )
         )
 
-    pick = (lambda r: r.omega_abs) if variant == "abs" else (lambda r: r.omega_signed)
     bracket = None
     for prev, curr in zip(rows, rows[1:]):
-        if pick(prev) < LOCAL_OMEGA_BOUND <= pick(curr):
+        if prev.omega_signed < LOCAL_OMEGA_BOUND <= curr.omega_signed:
             bracket = (prev.visibility, curr.visibility)
             break
     crossing = None
     if bracket is not None:
-        crossing = find_violation_threshold(variant, lo=bracket[0], hi=bracket[1])
-    return SweepResult(variant=variant, rows=tuple(rows), crossing_bracket=bracket, crossing=crossing)
+        crossing = find_violation_threshold(lo=bracket[0], hi=bracket[1])
+    return SweepResult(rows=tuple(rows), crossing_bracket=bracket, crossing=crossing)
 
 
-def find_violation_threshold(
-    variant: str = "signed", lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10
-) -> float:
-    """Visibility where the engine's omega(V) reaches 16, by bisection.
+def find_violation_threshold(lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10) -> float:
+    """Visibility where the engine's signed omega(V) reaches 16, by bisection.
 
-    Requires omega(lo) <= 16 <= omega(hi) for the selected variant and a
-    finite ``tol > 0``.  Bisection also stops once the midpoint rounds to
-    an endpoint, so a ``tol`` below the float spacing still returns.
+    Requires omega(lo) <= 16 <= omega(hi) and a finite ``tol > 0``.
+    Bisection also stops once the midpoint rounds to an endpoint, so a
+    ``tol`` below the float spacing still returns.
     """
-    if variant not in S_VARIANTS:
-        raise ValueError(f"variant must be one of {S_VARIANTS}, got {variant!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
     def excess(v: float) -> float:
-        report = omega(four_qubit_state(v))
-        value = report.omega_abs if variant == "abs" else report.omega_signed
-        return value - LOCAL_OMEGA_BOUND
+        return omega(four_qubit_state(v)).omega_signed - LOCAL_OMEGA_BOUND
 
     f_lo, f_hi = excess(lo), excess(hi)
     if f_lo > 0 or f_hi < 0:

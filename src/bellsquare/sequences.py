@@ -195,9 +195,10 @@ def _mix64(z: int) -> int:
 
 
 def derive_seed(seed: int, *indices: int) -> int:
-    """Fold sub-stream indices into a base seed; stable across releases."""
+    """Fold sub-stream indices (integers in [0, 2**64)) into a base seed; stable across releases."""
     state = _checked_int("seed", seed) & _MASK64
     for index in indices:
+        index = _checked_int("index", index, 0, 2**64)
         state = _mix64((state + (index + 1) * _GOLDEN) & _MASK64)
     return state
 

@@ -67,7 +67,7 @@ def test_criterion_2_quantum_correlations():
             assert bs.expectation(rho, pair) == pytest.approx(sign, abs=1e-10)
 
         # Per-sequence, from each setting's joint distribution: all twelve entries.
-        s_terms, _ = bs.evaluate_s(rho, "signed")
+        s_terms = bs.omega(rho).s_terms
         for term in bs.S_TERMS:
             value = s_terms.terms[term.key]
             assert abs(value) == pytest.approx(1.0, abs=1e-10)
@@ -87,7 +87,7 @@ def test_criterion_3_quantum_inequality_values():
             rho = bs.DensityState(
                 np.kron(random_density_matrix(rng, 4), random_density_matrix(rng, 4))
             )
-            assert bs.evaluate_chi(rho).chi == pytest.approx(6.0, abs=1e-9)
+            assert bs.omega(rho).chi == pytest.approx(6.0, abs=1e-9)
 
 
 def test_criterion_4_classical_bounds_by_exhaustive_scan():
@@ -141,7 +141,7 @@ def test_criterion_6_visibility_threshold():
         root = (math.sqrt(21) - 1) / 4
         assert bs.visibility_threshold(6.0) == pytest.approx(root, abs=1e-12)
 
-        crossing = bs.find_violation_threshold("signed", tol=1e-9)
+        crossing = bs.find_violation_threshold(tol=1e-9)
         assert crossing == pytest.approx(bs.visibility_threshold(6.0), abs=1e-6)
 
         assert 0.930 <= bs.visibility_threshold(5.30) <= 0.934

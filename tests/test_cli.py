@@ -195,6 +195,21 @@ class TestOutputRouting:
         report = json.loads((tmp_path / "identities.json").read_text())
         assert report["passed"] is True
 
+    def test_out_flag_on_directory_is_usage_error(self, tmp_path, capsys):
+        code = main(["identities", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(tmp_path) in err and len(err.splitlines()) == 1
+
+    def test_env_dir_on_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("BELLSQUARE_OUT", str(not_a_dir))
+        code = main(["identities"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(not_a_dir) in err and len(err.splitlines()) == 1
+
 
 class TestGolden:
     @pytest.mark.parametrize(

@@ -76,6 +76,12 @@ class TestNoncontextualAssignment:
         with pytest.raises(ValueError):
             NoncontextualAssignment(values=values)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, -1.0])
+    def test_non_integer_values_rejected(self, bad):
+        values = {lab: 1 for lab in "ABCabc"} | {"α": 1, "β": 1, "γ": bad}
+        with pytest.raises(ValueError, match="±1"):
+            NoncontextualAssignment(values=values)
+
 
 class TestContextFreeBounds:
     def test_noncontextual_chi_bound(self):
@@ -87,8 +93,8 @@ class TestContextFreeBounds:
             assert witness.chi() == 4
 
     def test_quantum_value_exceeds_bound_by_two(self, ideal_state):
-        from bellsquare import evaluate_chi
-        assert evaluate_chi(ideal_state).chi - noncontextual_chi_bound().max_value == pytest.approx(2.0, abs=1e-9)
+        from bellsquare import omega
+        assert omega(ideal_state).chi - noncontextual_chi_bound().max_value == pytest.approx(2.0, abs=1e-9)
 
     def test_first_measurement_bound(self):
         result = first_measurement_bound()
@@ -161,6 +167,18 @@ class TestHVModel:
             HVModel(alice={}, bob=dict(model.bob))
         with pytest.raises(ValueError):
             HVModel(alice=dict(model.alice), bob={"B'": 1})
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    @pytest.mark.parametrize(
+        "bad", [True, 1.0, -1.0, np.float64(1.0)], ids=["True", "1.0", "-1.0", "float64"]
+    )
+    def test_non_integer_outcomes_rejected(self, side, bad):
+        # A bool or float equal to ±1 would make evaluate_model return floats.
+        model = all_plus_model()
+        tables = {"alice": dict(model.alice), "bob": dict(model.bob)}
+        tables[side][next(iter(tables[side]))] = bad
+        with pytest.raises(ValueError, match="±1"):
+            HVModel(**tables)
 
     def test_all_plus_evaluation(self):
         ev = evaluate_model(all_plus_model())

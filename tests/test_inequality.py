@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellsquare import (
     CHI_SIGNS,
@@ -15,8 +16,6 @@ from bellsquare import (
     SEQUENCE_ORDER,
     SEQUENCES,
     estimate_inequality,
-    evaluate_chi,
-    evaluate_s,
     fidelity_from_visibility,
     find_violation_threshold,
     four_qubit_state,
@@ -40,14 +39,14 @@ ROOT_V = (math.sqrt(21) - 1) / 4  # visibility where signed omega reaches 16
 
 class TestChi:
     def test_ideal_state(self, ideal_state):
-        terms = evaluate_chi(ideal_state)
+        terms = omega(ideal_state).chi_terms
         assert terms.chi == pytest.approx(6.0, abs=1e-9)
         for name in SEQUENCE_ORDER:
             expected = -1.0 if name == "γcC" else 1.0
             assert terms.terms[name] == pytest.approx(expected, abs=1e-10)
 
     def test_maximally_mixed_state(self, mixed_state):
-        assert evaluate_chi(mixed_state).chi == pytest.approx(6.0, abs=1e-9)
+        assert omega(mixed_state).chi == pytest.approx(6.0, abs=1e-9)
 
     def test_state_independence_random_products(self):
         rng = np.random.default_rng(2024)
@@ -55,37 +54,33 @@ class TestChi:
             rho = DensityState(
                 np.kron(random_density_matrix(rng, 4), random_density_matrix(rng, 4))
             )
-            assert evaluate_chi(rho).chi == pytest.approx(6.0, abs=1e-9)
+            assert omega(rho).chi == pytest.approx(6.0, abs=1e-9)
 
 
 class TestS:
     def test_ideal_state_both_variants(self, ideal_state):
-        for variant in ("abs", "signed"):
-            _, total = evaluate_s(ideal_state, variant)
+        report = omega(ideal_state)
+        for total in (report.s_abs, report.s_signed):
             assert total == pytest.approx(12.0, abs=1e-9)
 
     def test_terms_have_quantum_signs(self, ideal_state):
-        s_terms, _ = evaluate_s(ideal_state, "signed")
+        s_terms = omega(ideal_state).s_terms
         for term in S_TERMS:
             assert s_terms.terms[term.key] == pytest.approx(PAIR_SIGNS[term.alice], abs=1e-10)
 
     def test_mixed_state(self, mixed_state):
-        for variant in ("abs", "signed"):
-            _, total = evaluate_s(mixed_state, variant)
+        report = omega(mixed_state)
+        for total in (report.s_abs, report.s_signed):
             assert total == pytest.approx(0.0, abs=1e-10)
 
     def test_signed_at_09(self):
-        _, total = evaluate_s(four_qubit_state(0.9), "signed")
+        total = omega(four_qubit_state(0.9)).s_signed
         assert total == pytest.approx(4 * 0.9 + 8 * 0.9**2, abs=1e-9)  # 10.08
 
     def test_signed_polynomial_on_grid(self):
         for v in (0.0, 0.25, 0.5, 0.75, 1.0):
-            _, total = evaluate_s(four_qubit_state(v), "signed")
+            total = omega(four_qubit_state(v)).s_signed
             assert total == pytest.approx(4 * v + 8 * v * v, abs=1e-9)
-
-    def test_variant_validated(self, ideal_state):
-        with pytest.raises(ValueError):
-            evaluate_s(ideal_state, "plain")
 
 
 class TestOmega:
@@ -132,10 +127,6 @@ class TestOmega:
         rho = werner_pair(0.5)
         with pytest.raises(ValueError, match="sequences are defined on 4 qubits"):
             omega(rho)
-        with pytest.raises(ValueError, match="sequences are defined on 4 qubits"):
-            evaluate_s(rho, "signed")
-        with pytest.raises(ValueError, match="sequences are defined on 4 qubits"):
-            evaluate_chi(rho)
 
     def test_imaginary_correlator_raises(self):
         # An anti-Hermitian part within the state's Hermiticity tolerance
@@ -143,7 +134,27 @@ class TestOmega:
         bb = oracle_matrix("B") @ oracle_matrix("B'")
         rho = DensityState(np.eye(16) / 16 + 4e-11j * bb)
         with pytest.raises(RuntimeError, match="imaginary part"):
-            evaluate_s(rho, "signed")
+            omega(rho)
+
+
+class TestOmegaProperties:
+    """The Pauli-expectation engine on random states, against the
+    distribution route; a fixed example seed and no deadline keep the
+    draws deterministic."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["full_rank", "pure"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_distribution_oracle(self, kind, seed):
+        rho = seeded_state(kind, seed)
+        report = omega(rho)
+        assert report.chi == 6.0
+        want = oracle_omega_via_distributions(rho)
+        for name in SEQUENCE_ORDER:
+            assert abs(report.chi_terms.terms[name] - want["chi_terms"][name]) <= 1e-12
+        for term in S_TERMS:
+            assert abs(report.s_terms.terms[term.key] - want["s_terms"][term.key]) <= 1e-12
+        assert abs(report.omega_abs - want["omega_abs"]) <= 1e-12
+        assert abs(report.omega_signed - want["omega_signed"]) <= 1e-12
 
 
 # Real integer letter tables.  Y = i·W with W = XZ, so the one complex
@@ -226,7 +237,7 @@ class TestExactCertificate:
 
     def test_threshold_brackets_the_root(self):
         # Bisection down to adjacent floats; the root lies within one ulp.
-        crossing = find_violation_threshold("signed", tol=1e-300)
+        crossing = find_violation_threshold(tol=1e-300)
         lo = Fraction(math.nextafter(crossing, 0.0))
         hi = Fraction(math.nextafter(crossing, 1.0))
         assert 8 * lo * lo + 4 * lo - 10 < 0 < 8 * hi * hi + 4 * hi - 10
@@ -267,7 +278,7 @@ class TestVisibilityThreshold:
                 visibility_threshold(bad)
 
     def test_inverts_engine_sweep(self):
-        crossing = find_violation_threshold("signed", tol=1e-10)
+        crossing = find_violation_threshold(tol=1e-10)
         assert crossing == pytest.approx(visibility_threshold(6.0), abs=1e-8)
         report = omega(four_qubit_state(visibility_threshold(6.0)))
         assert report.omega_signed == pytest.approx(16.0, abs=1e-8)
@@ -275,10 +286,10 @@ class TestVisibilityThreshold:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            find_violation_threshold("signed", lo=0.85, hi=0.95, tol=tol)
+            find_violation_threshold(lo=0.85, hi=0.95, tol=tol)
 
     def test_tolerance_below_float_spacing_returns(self):
-        crossing = find_violation_threshold("signed", lo=0.85, hi=0.95, tol=1e-300)
+        crossing = find_violation_threshold(lo=0.85, hi=0.95, tol=1e-300)
         assert 0.85 <= crossing <= 0.95
         assert crossing == pytest.approx((math.sqrt(21) - 1) / 4, abs=1e-9)
 
@@ -299,7 +310,7 @@ class TestFidelity:
 
 class TestSweep:
     def test_endpoints_and_constancy(self):
-        result = sweep([0.0, 0.25, 0.5, 0.75, 1.0], "signed")
+        result = sweep([0.0, 0.25, 0.5, 0.75, 1.0])
         omegas = [row.omega_signed for row in result.rows]
         assert omegas[0] == pytest.approx(6.0, abs=1e-9)
         assert omegas[-1] == pytest.approx(18.0, abs=1e-9)
@@ -307,31 +318,37 @@ class TestSweep:
             assert row.chi == pytest.approx(6.0, abs=1e-9)
 
     def test_monotone_nondecreasing(self):
-        result = sweep([i / 20 for i in range(21)], "signed")
+        result = sweep([i / 20 for i in range(21)])
         omegas = [row.omega_signed for row in result.rows]
         assert all(b >= a - 1e-12 for a, b in zip(omegas, omegas[1:]))
 
     def test_crossing_bracket_fine_grid(self):
         grid = [0.894 + 0.001 * i for i in range(5)]  # 0.894 .. 0.898
-        result = sweep(grid, "signed")
+        result = sweep(grid)
         lo, hi = result.crossing_bracket
         assert 0.895 <= lo < hi <= 0.897
         assert result.crossing == pytest.approx(ROOT_V, abs=1e-6)
 
     def test_coarse_grid_refines_crossing(self):
-        result = sweep([0.0, 0.5, 1.0], "signed")
+        result = sweep([0.0, 0.5, 1.0])
         assert result.crossing_bracket == (0.5, 1.0)
         assert result.crossing == pytest.approx(ROOT_V, abs=1e-8)
 
+    def test_abs_and_signed_omega_coincide(self):
+        # Why sweep and the bisection need no variant: on the noisy-singlet
+        # family both conventions are the same number.
+        result = sweep([i / 100 for i in range(101)])
+        assert all(row.omega_abs == row.omega_signed for row in result.rows)
+        report = omega(four_qubit_state(result.crossing))
+        assert report.omega_abs == report.omega_signed
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            sweep([], "signed")
+            sweep([])
         with pytest.raises(ValueError):
-            sweep([0.0, 1.5], "signed")
+            sweep([0.0, 1.5])
         with pytest.raises(ValueError):
-            sweep([0.5, 0.5], "signed")
-        with pytest.raises(ValueError):
-            sweep([0.0, 1.0], "nope")
+            sweep([0.5, 0.5])
 
 
 class TestEstimate:

@@ -213,6 +213,11 @@ class TestRngStream:
         with pytest.raises(ValueError, match="seed"):
             derive_seed(bad, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, "a", True, -1, 2**64, None])
+    def test_derive_seed_rejects_bad_index(self, bad):
+        with pytest.raises(ValueError, match="index"):
+            derive_seed(7, 0, bad)
+
     def test_stream_is_counter_indexed(self):
         full = uniform01(7, 100)
         head = uniform01(7, 60)
