@@ -22,13 +22,21 @@ range across workers and concatenating the results is bit-identical to a
 single pass; the inequality estimator keeps only the count of each cell
 of these draws, taken in chunks of ``_COUNT_CHUNK``, which cannot change
 it.  The mapping is frozen by unit tests and will not change between releases.
+
+Counting needs no per-draw cell index.  A draw u falls in cell i exactly
+when cumulative[i-1] <= u < cumulative[i] (``searchsorted`` with
+``side="right"``), so, with the cumulative non-decreasing, the number of
+draws in cells 0..j is the number with u < cumulative[j]; the cell counts
+are the differences of these threshold tallies.  A setting has at most 8
+cells, so this is at most 7 comparisons per draw, and the counts are
+exactly those of the per-shot picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +51,7 @@ ZERO_PROBABILITY_TOL = 1e-12
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _COUNT_CHUNK = 1 << 16
+MAX_RECORDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -208,20 +217,30 @@ def uniform01(seed: int, count: int, start: int = 0) -> np.ndarray:
     seed = _checked_int("seed", seed)
     count = _checked_int("count", count, 0)
     start = _checked_int("start", start, 0, 2**64 - count)
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + counters * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    shifted = np.empty_like(z)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(multiplier)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
-def _inverse_cdf(dist: OutcomeDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted outcome cells as int8 rows, and their cumulative probabilities."""
+def _inverse_cdf(dist: OutcomeDistribution) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Sorted outcome cells and their non-decreasing cumulative probabilities."""
     cells = sorted(dist.entries)
-    cumulative = np.cumsum([dist.entries[c] for c in cells])
+    # A valid state's probabilities may sum to just above 1; clamping keeps
+    # the cumulative sorted, which searchsorted and the tallies require.
+    cumulative = np.minimum(np.cumsum([dist.entries[c] for c in cells]), 1.0)
     cumulative[-1] = 1.0  # guard against rounding just below 1
-    return np.array(cells, dtype=np.int8), cumulative
+    return cells, cumulative
 
 
 def sample_outcomes(
@@ -238,26 +257,46 @@ def sample_outcomes(
     """
     shots = _checked_int("shots", shots, 1)
     first_shot = _checked_int("first_shot", first_shot, 0, 2**64 - shots)
-    table, cumulative = _inverse_cdf(dist)
-    return table[np.searchsorted(cumulative, uniform01(seed, shots, first_shot), side="right")]
+    cells, cumulative = _inverse_cdf(dist)
+    picks = np.searchsorted(cumulative, uniform01(seed, shots, first_shot), side="right")
+    return np.array(cells, dtype=np.int8)[picks]
 
 
 def _count_outcomes(dist: OutcomeDistribution, shots: int, seed: int):
-    """The cells of ``_inverse_cdf`` and how often ``sample_outcomes`` draws each."""
-    table, cumulative = _inverse_cdf(dist)
-    counts = np.zeros(len(table), dtype=np.int64)
+    """The cells of ``_inverse_cdf`` as int8 rows, and how often ``sample_outcomes`` draws each.
+
+    ``searchsorted(cumulative, u, side="right")`` picks cell i exactly when
+    cumulative[i-1] <= u < cumulative[i].  The cumulative is non-decreasing,
+    so the draws that land in cells 0..j are those with u < cumulative[j],
+    and each cell's count is a difference of these threshold tallies.  The
+    last entry is 1 and every draw is below it, so only the other (at most
+    7) edges are tallied.
+    """
+    cells, cumulative = _inverse_cdf(dist)
+    edges = cumulative[:-1]
+    tallies = np.zeros(len(edges), dtype=np.int64)
     for start in range(0, shots, _COUNT_CHUNK):
         draws = uniform01(seed, min(_COUNT_CHUNK, shots - start), start)
-        picks = np.searchsorted(cumulative, draws, side="right")
-        counts += np.bincount(picks, minlength=len(table))
-    return table, counts
+        for j, edge in enumerate(edges):
+            tallies[j] += np.count_nonzero(draws < edge)
+    return np.array(cells, dtype=np.int8), np.diff(tallies, prepend=0, append=shots)
 
 
 def sample(rho: DensityState, spec: SequenceSpec, shots: int, seed: int) -> list[ShotRecord]:
-    """Simulate ``shots`` runs of one setting; bit-reproducible for a seed."""
-    dist = sequence_distribution(rho, spec)
-    rows = sample_outcomes(dist, shots, seed).tolist()
-    return [
-        ShotRecord(spec=spec, outcomes=tuple(row), shot_index=i, seed=seed)
-        for i, row in enumerate(rows)
-    ]
+    """Simulate ``shots`` runs of one setting; bit-reproducible for a seed.
+
+    Draws exactly what ``sample_outcomes`` draws.  Records sharing an
+    outcome share one tuple of Python ints.  At most ``MAX_RECORDS``
+    records are built; ``estimate_inequality`` keeps only outcome counts
+    and takes any shot count.
+    """
+    shots = _checked_int("shots", shots, 1)
+    if shots > MAX_RECORDS:
+        raise ValueError(
+            f"shots={shots} exceeds MAX_RECORDS={MAX_RECORDS} shot records; "
+            "use estimate_inequality, which keeps only outcome counts"
+        )
+    cells, cumulative = _inverse_cdf(sequence_distribution(rho, spec))
+    picks = np.searchsorted(cumulative, uniform01(seed, shots), side="right").tolist()
+    return list(map(ShotRecord._make, zip(
+        repeat(spec), map(cells.__getitem__, picks), range(shots), repeat(seed))))

@@ -8,7 +8,9 @@ through the library's joint outcome distributions, a route independent
 of the Pauli-expectation engine that ``omega`` uses.  Likewise
 ``oracle_sampled_inequality`` keeps every shot from the library's
 ``sample_outcomes``, the per-shot route that the count-based estimator
-must reproduce bit for bit.
+must reproduce bit for bit, and ``oracle_sample_records`` builds shot
+records from those rows one tuple per row, the route ``sample`` must
+reproduce.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from bellsquare import (
     S_TERMS,
     SEQUENCE_ORDER,
     SequenceSpec,
+    ShotRecord,
     conditional_pair_expectation,
     derive_seed,
     four_qubit_state,
@@ -130,6 +133,13 @@ def oracle_sampled_inequality(visibility: float, shots: int, seed: int) -> dict:
     }
 
 
+def oracle_sample_records(rho, spec, shots: int, seed: int) -> list[ShotRecord]:
+    """Shot records built row by row from the ``sample_outcomes`` array."""
+    rows = sample_outcomes(sequence_distribution(rho, spec), shots, seed).tolist()
+    return [ShotRecord(spec=spec, outcomes=tuple(row), shot_index=i, seed=seed)
+            for i, row in enumerate(rows)]
+
+
 def _oracle_xor_bits(idx: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
     acc = idx >> np.uint32(bits[0])
     for b in bits[1:]:
@@ -166,10 +176,16 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def seeded_state(kind: str, param):
-    """A four-qubit test state: ``werner`` at visibility ``param``, or a
-    ``full_rank`` or ``pure`` random state seeded by ``param``."""
+    """A four-qubit test state: ``werner`` at visibility ``param``, a
+    ``full_rank`` or ``pure`` random state seeded by ``param``, or
+    ``trace_edge``: the ideal state mixed with weight ``param`` of 𝟙/16 and
+    scaled by 1 + 9e-11, a valid state whose trace sits near the tolerance
+    edge and whose outcome probabilities can sum to just above 1."""
     if kind == "werner":
         return four_qubit_state(param)
+    if kind == "trace_edge":
+        mixed = (1 - param) * four_qubit_state(1.0).matrix + param * np.eye(16) / 16
+        return DensityState(mixed * (1 + 9e-11))
     rng = np.random.default_rng(param)
     if kind == "full_rank":
         return DensityState(random_density_matrix(rng, 16))

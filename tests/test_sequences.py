@@ -1,6 +1,7 @@
 """Tests for sequence distributions, no-signaling and the shot sampler."""
 
 import math
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -27,9 +28,16 @@ from bellsquare import (
     sequence_distribution,
     uniform01,
 )
-from bellsquare.sequences import _COUNT_CHUNK, _count_outcomes, _mix64
+from bellsquare import sequences
+from bellsquare.sequences import (
+    MAX_RECORDS,
+    _COUNT_CHUNK,
+    _count_outcomes,
+    _inverse_cdf,
+    _mix64,
+)
 
-from conftest import oracle_sequential_distribution, seeded_state
+from conftest import oracle_sample_records, oracle_sequential_distribution, seeded_state
 
 
 class TestSequenceSpec:
@@ -274,6 +282,37 @@ class TestSampler:
         with pytest.raises(ValueError, match=name):
             sample_outcomes(dist, **args)
 
+    @pytest.mark.parametrize("shots", [1, 1000, 65_537, 200_003])
+    def test_records_match_row_oracle(self, shots):
+        cases = [
+            (("werner", 0.9), SequenceSpec("ABC", "B'"), 5),
+            (("full_rank", 3), SequenceSpec("γcC"), 2**64 - 1),
+            (("pure", 4), SequenceSpec("Aaα", "α'"), 0),
+        ]
+        for state, spec, seed in cases:
+            rho = seeded_state(*state)
+            records = sample(rho, spec, shots, seed)
+            assert records == oracle_sample_records(rho, spec, shots, seed)
+            assert {type(v) for r in records for v in r.outcomes} == {int}
+            assert all(r.spec is spec for r in records)
+
+    @pytest.mark.parametrize("shots", [MAX_RECORDS + 1, 10**8])
+    def test_too_many_records_rejected_before_allocating(self, ideal_state, shots, monkeypatch):
+        # The shot check comes before the distribution is built, so a
+        # missing check fails here instead of allocating the records.
+        def built_too_early(*args):
+            raise AssertionError("distribution built before the shot check")
+
+        monkeypatch.setattr(sequences, "sequence_distribution", built_too_early)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="estimate_inequality"):
+                sample(ideal_state, SequenceSpec("ABC"), shots, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_abc_products_all_plus_one(self, ideal_state):
         records = sample(ideal_state, SequenceSpec("ABC"), 100_000, seed=3)
         products = [r.outcomes[0] * r.outcomes[1] * r.outcomes[2] for r in records]
@@ -323,22 +362,37 @@ class TestSampler:
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
+SAMPLER_STATES = [("werner", 0.7), ("full_rank", 3), ("pure", 5), ("trace_edge", 1e-10)]
+
+
 @cache
-def setting_distribution(index: int):
+def setting_distribution(index: int, state=SAMPLER_STATES[0]):
     t = S_TERMS[index]
-    return sequence_distribution(four_qubit_state(0.7), SequenceSpec(t.sequence, t.bob))
+    return sequence_distribution(seeded_state(*state), SequenceSpec(t.sequence, t.bob))
+
+
+class TestInverseCdf:
+    @pytest.mark.parametrize("param", [1e-10, 4e-10, 7e-10])
+    def test_cumulative_sorted_near_trace_edge(self, param):
+        # These probabilities can sum to just above 1, so an unclamped
+        # running sum passes 1 before its last entry is pinned to 1.
+        for index in range(len(S_TERMS)):
+            cumulative = _inverse_cdf(setting_distribution(index, ("trace_edge", param)))[1]
+            assert np.all(np.diff(cumulative) >= 0)
+            assert cumulative[-1] == 1.0
 
 
 class TestSamplerProperties:
     @PROPERTY
     @given(index=st.integers(0, len(S_TERMS) - 1), seed=st.integers(0, 2**64 - 1),
-           shots=st.integers(1, 3 * _COUNT_CHUNK + 7))
-    @example(index=0, seed=0, shots=_COUNT_CHUNK - 1)
-    @example(index=3, seed=1, shots=_COUNT_CHUNK)
-    @example(index=11, seed=2**64 - 1, shots=2 * _COUNT_CHUNK + 1)
-    def test_counts_match_sampled_rows(self, index, seed, shots):
+           shots=st.integers(1, 3 * _COUNT_CHUNK + 7), state=st.sampled_from(SAMPLER_STATES))
+    @example(index=0, seed=0, shots=_COUNT_CHUNK - 1, state=SAMPLER_STATES[0])
+    @example(index=3, seed=1, shots=_COUNT_CHUNK, state=SAMPLER_STATES[1])
+    @example(index=11, seed=2**64 - 1, shots=2 * _COUNT_CHUNK + 1, state=SAMPLER_STATES[2])
+    @example(index=0, seed=4, shots=_COUNT_CHUNK + 3, state=SAMPLER_STATES[3])
+    def test_counts_match_sampled_rows(self, index, seed, shots, state):
         # Chunked counts are the cell counts of the per-shot rows.
-        dist = setting_distribution(index)
+        dist = setting_distribution(index, state)
         table, counts = _count_outcomes(dist, shots, seed)
         assert table.tolist() == [list(cell) for cell in sorted(dist.entries)]
         # Recover each row's pick (its cell's place in the table) from the
