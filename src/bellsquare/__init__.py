@@ -35,7 +35,6 @@ from .sequences import (
     OutcomeDistribution,
     SequenceSpec,
     ShotRecord,
-    alice_marginal,
     bob_marginal,
     conditional_pair_expectation,
     derive_seed,
@@ -65,12 +64,10 @@ from .hv_models import (
     HVModel,
     NoncontextualAssignment,
     bound_gap_report,
-    chain_inequality_check,
     chain_inequality_scan,
     decode_model,
     encode_model,
     evaluate_model,
-    flip_involution,
     local_omega_bound,
     first_measurement_bound,
     noncontextual_chi_bound,
@@ -85,17 +82,16 @@ __all__ = [
     "mermin_square_check",
     "DensityState", "expectation", "four_qubit_state", "singlet_pair",
     "werner_pair",
-    "OutcomeDistribution", "SequenceSpec", "ShotRecord", "alice_marginal",
-    "bob_marginal", "conditional_pair_expectation", "derive_seed",
-    "product_expectation", "sample", "sample_outcomes",
-    "sequence_distribution", "uniform01",
+    "OutcomeDistribution", "SequenceSpec", "ShotRecord", "bob_marginal",
+    "conditional_pair_expectation", "derive_seed", "product_expectation",
+    "sample", "sample_outcomes", "sequence_distribution", "uniform01",
     "ChiTerms", "InequalityReport", "LOCAL_OMEGA_BOUND",
     "NONCONTEXTUAL_CHI_BOUND", "STerms", "SampledInequality",
     "estimate_inequality", "fidelity_from_visibility",
     "find_violation_threshold", "omega", "sweep", "visibility_threshold",
     "BoundResult", "GapReport", "HVModel", "NoncontextualAssignment",
-    "bound_gap_report", "chain_inequality_check", "chain_inequality_scan",
-    "decode_model", "encode_model", "evaluate_model", "flip_involution",
+    "bound_gap_report", "chain_inequality_scan", "decode_model",
+    "encode_model", "evaluate_model",
     "local_omega_bound", "first_measurement_bound", "noncontextual_chi_bound",
     "relaxed_omega_scan",
 ]

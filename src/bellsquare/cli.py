@@ -139,15 +139,13 @@ def cmd_quantum(args) -> tuple[dict, bool]:
         "chi_bound": NONCONTEXTUAL_CHI_BOUND,
         "chi_violated": report.chi_violated,
         "omega_bound": LOCAL_OMEGA_BOUND,
+        "s_abs": report.s_abs,
+        "omega_abs": report.omega_abs,
+        "violated_abs": report.violated_abs,
+        "s_signed": report.s_signed,
+        "omega_signed": report.omega_signed,
+        "violated_signed": report.violated_signed,
     }
-    if args.variant in ("abs", "both"):
-        results["s_abs"] = report.s_abs
-        results["omega_abs"] = report.omega_abs
-        results["violated_abs"] = report.violated_abs
-    if args.variant in ("signed", "both"):
-        results["s_signed"] = report.s_signed
-        results["omega_signed"] = report.omega_signed
-        results["violated_signed"] = report.violated_signed
     consistent = (
         abs(report.omega_abs - report.chi - report.s_abs) < 1e-12
         and abs(report.omega_signed - report.chi - report.s_signed) < 1e-12
@@ -334,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum", help="exact inequality values at a visibility")
     p.add_argument("--visibility", type=float, default=1.0)
-    p.add_argument("--variant", choices=["abs", "signed", "both"], default="both")
     add_output_flags(p)
 
     p = sub.add_parser("sample", help="seeded finite-shot estimates")

@@ -31,10 +31,12 @@ int8 ±1 parity table over the 2^16 offsets, built on first use and cached,
 and its block bits fold into one ±1 per block.  Adding or subtracting each
 term's table in place gives omega of every model in the block, so every
 model is still evaluated.  The kernel returns the maximum with its lowest
-attaining indices; every bound is a call of it, and the chain check reads
-the same tables.  Partitioned scans merge deterministically (global max,
-lowest witness index), so results are bit-identical for any worker count,
-and the process pool never gets more workers than the machine has CPUs.
+attaining indices; every bound is a call of it.  Partitioned scans merge
+deterministically (global max, lowest witness index), so results are
+bit-identical for any worker count, and the process pool never gets more
+workers than the machine has CPUs.  The chain inequality needs no scan:
+it is checked on the 192 cases that every model reduces to (see
+``chain_inequality_scan``).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import product
 from numbers import Integral
 from typing import Mapping, NamedTuple
 
@@ -112,12 +115,6 @@ _RELAXED = _layout(_RELAXED_BIT)
 def _is_sign(value) -> bool:
     """True for the integers +1 and -1; a bool or a float such as 1.0 is not an outcome."""
     return isinstance(value, Integral) and not isinstance(value, bool) and value in (1, -1)
-
-
-# Bob partner of each sequence slot (used by the chain inequality).
-_SEQ_BOB: dict[str, dict[int, str]] = {}
-for _t in S_TERMS:
-    _SEQ_BOB.setdefault(_t.sequence, {})[_t.position] = _t.bob
 
 
 @dataclass(frozen=True)
@@ -346,31 +343,23 @@ def _term_tables(terms) -> list[tuple[int, np.ndarray, int]]:
     ]
 
 
-def _high_sign(start: int, mask: int) -> int:
-    """±1 that the bits ``mask`` of block ``start`` fold into a term."""
-    return 1 - 2 * (bin(start & mask).count("1") & 1)
-
-
-def _blocks(lo: int, hi: int):
-    """Yield (start, first, stop) for each block holding models of [lo, hi):
-    those models are ``start + first`` to ``start + stop``."""
-    if lo >= hi:
-        return
-    for start in range(lo - lo % _BLOCK, hi, _BLOCK):
-        yield start, max(lo - start, 0), min(hi - start, _BLOCK)
-
-
 def _omega_blocks(layout: _Layout, variant: str, lo: int, hi: int):
     """Yield (first index, omega of the next models) block by block over
-    model indices [lo, hi) under ``layout``."""
+    model indices [lo, hi) under ``layout``; block ``start`` holds models
+    ``start + first`` to ``start + stop``."""
     terms = _term_tables(layout.chi if variant == "abs" else layout.chi + layout.s)
     # Every deterministic correlator has |value| = 1, so S_abs = len(s).
     base = len(layout.s) if variant == "abs" else 0
-    for start, first, stop in _blocks(lo, hi):
+    if lo >= hi:
+        return
+    for start in range(lo - lo % _BLOCK, hi, _BLOCK):
+        first, stop = max(lo - start, 0), min(hi - start, _BLOCK)
         # |omega| <= 6 chi terms + 12 correlators = 18, so int8 cannot overflow.
         values = np.full(stop - first, base, dtype=np.int8)
         for sign, table, high in terms:
-            accumulate = np.add if sign * _high_sign(start, high) > 0 else np.subtract
+            # The term's bits in the block number fold into one ±1.
+            high_sign = 1 - 2 * (bin(start & high).count("1") & 1)
+            accumulate = np.add if sign * high_sign > 0 else np.subtract
             accumulate(values, table[first:stop], out=values)
         yield start + first, values
 
@@ -463,89 +452,39 @@ def relaxed_omega_scan(variant: str = "signed") -> RelaxedScanResult:
     return RelaxedScanResult(variant=variant, max_value=float(best), models_scanned=N_RELAXED_MODELS)
 
 
-def chain_inequality_check(model: HVModel) -> bool:
-    """Per-model check that first-measurement triples are bounded by
-    sequence products plus mismatch penalties.
-
-    For each sequence (leader f, slots m2 and m3 with Bob partners p2 and
-    p3, chi sign s) the check verifies the two exchange identities
-
-        |f*p2*p3 - f*m2*p3| == 1 - m2*p2    and
-        |f*m2*p3 - f*m2*m3| == 1 - m3*p3
-
-    and the resulting lower bound
-
-        s*(f*p2*p3) >= s*(f*m2*m3) - (1 - m2*p2) - (1 - m3*p3).
-    """
-    for seq in SEQUENCE_ORDER:
-        sign = CHI_SIGNS[seq]
-        f = model.alice[seq, 1]
-        m2, m3 = model.alice[seq, 2], model.alice[seq, 3]
-        p2 = model.bob[_SEQ_BOB[seq][2]]
-        p3 = model.bob[_SEQ_BOB[seq][3]]
-        first_product = f * p2 * p3
-        middle = f * m2 * p3
-        seq_product = f * m2 * m3
-        pen2 = 1 - m2 * p2
-        pen3 = 1 - m3 * p3
-        if abs(first_product - middle) != pen2 or abs(middle - seq_product) != pen3:
-            return False
-        if sign * first_product < sign * seq_product - pen2 - pen3:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ChainScanResult:
     all_hold: bool
     identities_hold: bool
-    models_scanned: int
+    cases_checked: int
 
 
 def chain_inequality_scan() -> ChainScanResult:
-    """Vectorized chain check over all 2^21 models, block by block."""
-    inequalities_ok = True
-    identities_ok = True
-    tables = []
-    for seq in SEQUENCE_ORDER:
-        bf, b2, b3 = (_MODEL_BIT[seq, pos] for pos in (1, 2, 3))
-        bp2, bp3 = (_MODEL_BIT[_SEQ_BOB[seq][pos]] for pos in (2, 3))
-        # First product, middle, sequence product and the two mismatches.
-        bits = ((bf, bp2, bp3), (bf, b2, bp3), (bf, b2, b3), (b2, bp2), (b3, bp3))
-        tables.append((CHI_SIGNS[seq], _term_tables((1, b) for b in bits)))
-    for start, first, stop in _blocks(0, N_MODELS):
-        for sign, terms in tables:
-            first_product, middle, seq_product, match2, match3 = (
-                _high_sign(start, high) * table[first:stop] for _, table, high in terms
-            )
-            pen2 = 1 - match2
-            pen3 = 1 - match3
-            identities_ok &= bool(np.all(np.abs(first_product - middle) == pen2))
-            identities_ok &= bool(np.all(np.abs(middle - seq_product) == pen3))
-            inequalities_ok &= bool(
-                np.all(sign * first_product >= sign * seq_product - pen2 - pen3)
-            )
+    """Check that first-measurement triples are bounded by sequence
+    products plus mismatch penalties, in every local contextual model.
+
+    For each sequence (leader f, slots m2 and m3 with Bob partners p2 and
+    p3, chi sign s) it checks the exchange identities
+    |f*p2*p3 - f*m2*p3| == 1 - m2*p2 and |f*m2*p3 - f*m2*m3| == 1 - m3*p3,
+    and the lower bound s*f*p2*p3 >= s*f*m2*m3 - (1 - m2*p2) - (1 - m3*p3).
+    These read only the five ±1 values and s.  In the 2^21 layout the five
+    are distinct bits (ABC: bits 0, 3, 4, 15 and 16, and so on), so each
+    model's check of a sequence is one of the 32 value tuples, and the
+    6 x 32 cases checked here cover all 2^21 models.
+    """
+    cases = [(CHI_SIGNS[seq], *values)
+             for seq in SEQUENCE_ORDER for values in product((1, -1), repeat=5)]
+    identities_ok = inequalities_ok = True
+    for sign, f, m2, m3, p2, p3 in cases:
+        first_product, middle, seq_product = f * p2 * p3, f * m2 * p3, f * m2 * m3
+        pen2, pen3 = 1 - m2 * p2, 1 - m3 * p3
+        identities_ok &= abs(first_product - middle) == pen2 and abs(middle - seq_product) == pen3
+        inequalities_ok &= sign * first_product >= sign * seq_product - pen2 - pen3
     return ChainScanResult(
         all_hold=inequalities_ok and identities_ok,
         identities_hold=identities_ok,
-        models_scanned=N_MODELS,
+        cases_checked=len(cases),
     )
-
-
-def flip_involution(index: int) -> int:
-    """Omega-preserving sign flip: negate all slot-2/3 Alice outcomes and
-    all Bob outcomes.
-
-    Each chi term contains exactly two later-position values and each
-    correlator pairs one later-position value with one Bob value, so both
-    sums are invariant; flipping leader bits as well would negate chi.
-
-    Raises:
-        ValueError: If ``index`` is not a model index in [0, N_MODELS).
-    """
-    index = _checked_int("index", index, 0, N_MODELS)
-    mask = ((1 << N_MODEL_BITS) - 1) ^ 0b111  # all bits except the three leaders
-    return index ^ mask
 
 
 @dataclass(frozen=True)

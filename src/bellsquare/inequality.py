@@ -178,7 +178,8 @@ def visibility_threshold(chi_expt: float) -> float:
 
 
 def fidelity_from_visibility(visibility: float) -> float:
-    """Fidelity of the noisy pair with the ideal singlet: sqrt(3V + 1) / 2."""
+    """Per-pair root fidelity sqrt(F) = sqrt(3V + 1) / 2, with F = <psi-|rho|psi-> =
+    (1 + 3V) / 4 for one noisy pair; the four-qubit fidelity is F^2, not this."""
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")

@@ -34,6 +34,7 @@ exactly those of the per-shot picks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product, repeat
@@ -85,7 +86,7 @@ class OutcomeDistribution:
     """Exact joint distribution over ±1 outcome tuples for one spec.
 
     Entries hold only outcomes with nonzero probability; probabilities are
-    nonnegative and sum to 1 within ``PROBABILITY_SUM_TOL``.
+    finite, nonnegative and sum to 1 within ``PROBABILITY_SUM_TOL``.
     """
 
     spec: SequenceSpec
@@ -100,8 +101,8 @@ class OutcomeDistribution:
                 )
             if any(o not in (1, -1) for o in outcomes):
                 raise ValueError(f"outcomes must be ±1, got {outcomes}")
-            if prob < -1e-12:
-                raise ValueError(f"negative probability {prob} for {outcomes}")
+            if not (math.isfinite(prob) and prob >= -1e-12):
+                raise ValueError(f"negative or non-finite probability {prob} for {outcomes}")
             total += prob
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -176,15 +177,6 @@ def conditional_pair_expectation(dist: OutcomeDistribution, alice_position: int)
     return float(value)
 
 
-def alice_marginal(dist: OutcomeDistribution, position: int) -> dict[int, float]:
-    """Marginal distribution of the Alice outcome at a 1-based position."""
-    position = _checked_int("position", position, 1, 4)
-    marginal = {1: 0.0, -1: 0.0}
-    for outcomes, prob in dist.entries.items():
-        marginal[outcomes[position - 1]] += prob
-    return marginal
-
-
 def bob_marginal(dist: OutcomeDistribution) -> dict[int, float]:
     """Marginal distribution of Bob's outcome."""
     if dist.spec.bob is None:
@@ -213,9 +205,10 @@ def derive_seed(seed: int, *indices: int) -> int:
 
 
 def uniform01(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Draws ``start .. start+count-1`` of the uniform [0, 1) stream for ``seed``."""
+    """Draws ``start .. start+count-1`` of the uniform [0, 1) stream for ``seed``;
+    at most ``MAX_RECORDS`` draws, checked before anything is allocated."""
     seed = _checked_int("seed", seed)
-    count = _checked_int("count", count, 0)
+    count = _checked_int("count", count, 0, MAX_RECORDS + 1)
     start = _checked_int("start", start, 0, 2**64 - count)
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
@@ -250,12 +243,12 @@ def sample_outcomes(
 
     Cells are ordered by sorted outcome tuple and selected by inverse CDF,
     so results for a given (seed, shot index) never depend on how a shot
-    range is partitioned.
+    range is partitioned.  At most ``MAX_RECORDS`` shots per call.
 
     Returns:
         int8 array of shape (shots, tuple length) with ±1 entries.
     """
-    shots = _checked_int("shots", shots, 1)
+    shots = _checked_int("shots", shots, 1, MAX_RECORDS + 1)
     first_shot = _checked_int("first_shot", first_shot, 0, 2**64 - shots)
     cells, cumulative = _inverse_cdf(dist)
     picks = np.searchsorted(cumulative, uniform01(seed, shots, first_shot), side="right")

@@ -58,10 +58,6 @@ class DensityState:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n_qubits", n)
 
-    @property
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
     def __repr__(self) -> str:
         return f"DensityState(n_qubits={self.n_qubits})"
 

@@ -128,7 +128,7 @@ def test_criterion_5_abs_variant_audit():
 
         chain = bs.chain_inequality_scan()
         assert chain.all_hold and chain.identities_hold
-        assert chain.models_scanned == 2**21
+        assert chain.cases_checked == 192
 
         gap = bs.bound_gap_report(abs_bound=abs_bound)
         assert gap.abs_gap == pytest.approx(0.0, abs=1e-9)

@@ -46,6 +46,11 @@ class TestExitCodes:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    def test_quantum_takes_no_variant(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["quantum", "--variant", "signed"])
+        assert excinfo.value.code == 2
+
     def test_csv_outside_sweep_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["quantum", "--format", "csv"])
@@ -81,12 +86,14 @@ class TestQuantum:
         assert results["violated_signed"] is True
 
     def test_visibility_093(self, capsys):
-        _, report = run_json(["quantum", "--visibility", "0.93", "--variant", "signed"], capsys)
+        _, report = run_json(["quantum", "--visibility", "0.93"], capsys)
         results = report["results"]
         expected = 6 + 4 * 0.93 + 8 * 0.93**2  # 16.6392
         assert results["omega_signed"] == pytest.approx(expected, abs=1e-9)
         assert results["violated_signed"] is True
-        assert "omega_abs" not in results
+        # Both variants, always: on Werner states they are the same number.
+        assert results["omega_abs"] == pytest.approx(expected, abs=1e-9)
+        assert results["violated_abs"] is True
 
     def test_visibility_05_not_violated(self, capsys):
         _, report = run_json(["quantum", "--visibility", "0.5"], capsys)

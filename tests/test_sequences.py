@@ -14,7 +14,6 @@ from bellsquare import (
     S_TERMS,
     SEQUENCE_ORDER,
     SequenceSpec,
-    alice_marginal,
     bob_marginal,
     commutes,
     conditional_pair_expectation,
@@ -38,6 +37,14 @@ from bellsquare.sequences import (
 )
 
 from conftest import oracle_sample_records, oracle_sequential_distribution, seeded_state
+
+
+def alice_marginal(dist: OutcomeDistribution, position: int) -> dict[int, float]:
+    """Marginal distribution of the Alice outcome at a 1-based position."""
+    marginal = {1: 0.0, -1: 0.0}
+    for outcomes, prob in dist.entries.items():
+        marginal[outcomes[position - 1]] += prob
+    return marginal
 
 
 class TestSequenceSpec:
@@ -68,6 +75,17 @@ class TestOutcomeDistribution:
     def test_rejects_non_pm_one(self):
         with pytest.raises(ValueError):
             OutcomeDistribution(SequenceSpec("ABC"), {(1, 1, 0): 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("other", [None, 1.0])
+    def test_rejects_non_finite_probability(self, bad, other):
+        # nan < -1e-12 and abs(nan - 1) > tol are both False; with a second
+        # cell at 1.0 the sampler would silently draw only that cell.
+        entries = {(1, 1, 1): bad}
+        if other is not None:
+            entries[(-1, -1, 1)] = other
+        with pytest.raises(ValueError, match="non-finite"):
+            OutcomeDistribution(SequenceSpec("ABC"), entries)
 
 
 class TestSequenceDistribution:
@@ -164,8 +182,6 @@ class TestExpectations:
         for bad in (4, 0, 2.0, True):
             with pytest.raises(ValueError, match="alice_position"):
                 conditional_pair_expectation(dist, bad)
-            with pytest.raises(ValueError, match="position"):
-                alice_marginal(dist, bad)
 
 
 class TestNoSignaling:
@@ -244,6 +260,15 @@ class TestRngStream:
         args = {"seed": 1, "count": 3, "start": 0, name: bad}
         with pytest.raises(ValueError, match=name):
             uniform01(**args)
+
+    def test_rejects_more_than_max_records_draws(self, ideal_state):
+        # 24 bytes a draw: 10^9 draws would try to allocate about 24 GB.
+        uniform01(1, MAX_RECORDS)
+        with pytest.raises(ValueError, match="count"):
+            uniform01(1, MAX_RECORDS + 1)
+        dist = sequence_distribution(ideal_state, SequenceSpec("ABC"))
+        with pytest.raises(ValueError, match="shots"):
+            sample_outcomes(dist, MAX_RECORDS + 1, seed=1)
 
     def test_last_counters_follow_contract(self):
         # Draws up to counter 2^64 - 1 are valid and follow the formula.

@@ -78,7 +78,8 @@ class TestSinglet:
         assert expectation(rho, PauliString.from_label("ZI")) == pytest.approx(0, abs=1e-12)
 
     def test_purity(self):
-        assert singlet_pair().purity == pytest.approx(1, abs=1e-12)
+        m = singlet_pair().matrix
+        assert np.real(np.trace(m @ m)) == pytest.approx(1, abs=1e-12)
 
 
 class TestWernerPair:
