@@ -20,7 +20,6 @@ from .observables import (
     S_TERMS,
     SEQUENCE_ORDER,
     SEQUENCES,
-    Observable,
     STermSpec,
     mermin_square_check,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "__version__",
     "PauliString", "commutes", "pauli_mul", "pauli_product", "to_matrix",
     "ALICE_LABELS", "BOB_LABELS", "CHI_SIGNS", "OBSERVABLES", "PAIR_SIGNS",
-    "S_TERMS", "SEQUENCE_ORDER", "SEQUENCES", "Observable", "STermSpec",
+    "S_TERMS", "SEQUENCE_ORDER", "SEQUENCES", "STermSpec",
     "mermin_square_check",
     "DensityState", "expectation", "four_qubit_state", "singlet_pair",
     "werner_pair",

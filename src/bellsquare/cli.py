@@ -120,7 +120,7 @@ def cmd_identities(args) -> tuple[dict, bool]:
         and check.chi_combination == 6.0
     )
     results = {
-        "observables": {label: obs.pauli.label for label, obs in OBSERVABLES.items()},
+        "observables": {label: pauli.label for label, pauli in OBSERVABLES.items()},
         "sequence_products": check.products,
         "chi_sign_combination": check.chi_combination,
         "symbolic_vs_matrix_max_deviation": check.max_matrix_deviation,
@@ -193,16 +193,12 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
     for variant in variants:
         scan = local_omega_bound(variant)
         scans[variant] = scan
-        expected = 16.0 if variant == "signed" else 18.0
-        witness_values = [
-            (evaluate_model(w).omega_signed if variant == "signed" else evaluate_model(w).omega_abs)
-            for w in scan.argmax_models
-        ]
+        expected = LOCAL_OMEGA_BOUND if variant == "signed" else 18.0
         entry = _bound_payload(scan)
         entry["expected"] = expected
         entry["matches_expected"] = scan.max_value == expected
         passed &= scan.max_value == expected
-        passed &= all(v == scan.max_value for v in witness_values)
+        passed &= all(w[f"omega_{variant}"] == scan.max_value for w in entry["witnesses"])
         results["bounds"][variant] = entry
 
     chain = chain_inequality_scan()
@@ -221,7 +217,11 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
             abs_bound=scans["abs"],
         )
         results["gap_report"] = asdict(gap)
-        passed &= chi_b.max_value == 4.0 and first_mb.max_value == 4.0 and gap.gaps_equal
+        passed &= (
+            chi_b.max_value == NONCONTEXTUAL_CHI_BOUND
+            and first_mb.max_value == NONCONTEXTUAL_CHI_BOUND
+            and gap.gaps_equal
+        )
 
     if args.relaxed:
         # Informative superset scan: dropping leader sharing frees the six

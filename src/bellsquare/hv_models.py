@@ -34,9 +34,10 @@ model is still evaluated.  The kernel returns the maximum with its lowest
 attaining indices; every bound is a call of it.  Partitioned scans merge
 deterministically (global max, lowest witness index), so results are
 bit-identical for any worker count, and the process pool never gets more
-workers than the machine has CPUs.  The chain inequality needs no scan:
-it is checked on the 192 cases that every model reduces to (see
-``chain_inequality_scan``).
+workers than the machine has CPUs.  Every scan returns a ``BoundResult``;
+the 2^24 scan decodes no witnesses, so its ``argmax_models`` is empty.
+The chain inequality needs no scan: it is checked on the 192 cases that
+every model reduces to (see ``chain_inequality_scan``).
 """
 
 from __future__ import annotations
@@ -149,19 +150,13 @@ class NoncontextualAssignment:
 
 _ALICE_KEYSET = frozenset(ALICE_LABELS)
 _IDENTITY_RELABEL = {label: label for label in ALICE_LABELS}
-# Paired observables read through Bob's side, leaders kept as-is.
+_FIRST_MEASUREMENT_LABELS = SEQUENCE_LEADERS + BOB_LABELS
+_FIRST_MEASUREMENT_KEYSET = frozenset(_FIRST_MEASUREMENT_LABELS)
+# Paired observables read through their Bob partners, leaders kept as-is.
 _BOB_SIDE_RELABEL = {
-    "A": "A",
-    "b": "b",
-    "γ": "γ",
-    "B": "B'",
-    "C": "C'",
-    "a": "a'",
-    "c": "c'",
-    "α": "α'",
-    "β": "β'",
+    **{leader: leader for leader in SEQUENCE_LEADERS},
+    **{t.alice: t.bob for t in S_TERMS},
 }
-_FIRST_MEASUREMENT_KEYSET = frozenset(_BOB_SIDE_RELABEL.values())
 
 
 @dataclass(frozen=True)
@@ -200,10 +195,8 @@ class HVModel:
 
 @dataclass(frozen=True)
 class ModelEvaluation:
-    """Per-term breakdown of one model's inequality value."""
+    """One model's inequality value and its parts."""
 
-    chi_terms: dict[str, int]
-    s_correlators: dict[str, int]
     chi: int
     s_abs: int
     s_signed: int
@@ -212,20 +205,14 @@ class ModelEvaluation:
 
 
 def evaluate_model(model: HVModel) -> ModelEvaluation:
-    chi_terms = {}
-    for seq in SEQUENCE_ORDER:
-        chi_terms[seq] = (
-            model.alice[seq, 1] * model.alice[seq, 2] * model.alice[seq, 3]
-        )
-    s_correlators = {
-        t.key: model.alice[t.sequence, t.position] * model.bob[t.bob] for t in S_TERMS
-    }
-    chi = sum(CHI_SIGNS[seq] * chi_terms[seq] for seq in SEQUENCE_ORDER)
-    s_abs = sum(abs(v) for v in s_correlators.values())
-    s_signed = sum(t.sign * s_correlators[t.key] for t in S_TERMS)
+    chi = sum(
+        CHI_SIGNS[seq] * model.alice[seq, 1] * model.alice[seq, 2] * model.alice[seq, 3]
+        for seq in SEQUENCE_ORDER
+    )
+    correlators = [model.alice[t.sequence, t.position] * model.bob[t.bob] for t in S_TERMS]
+    s_abs = sum(map(abs, correlators))
+    s_signed = sum(t.sign * c for t, c in zip(S_TERMS, correlators))
     return ModelEvaluation(
-        chi_terms=chi_terms,
-        s_correlators=s_correlators,
         chi=chi,
         s_abs=s_abs,
         s_signed=s_signed,
@@ -314,8 +301,7 @@ def first_measurement_bound(max_witnesses: int = 4) -> BoundResult:
     side: {A, b, γ} keep their labels and the other six become the values
     B', C', a', c', α', β' take when measured first.
     """
-    labels = ("A", "b", "γ", "B'", "C'", "a'", "c'", "α'", "β'")
-    return _context_free_bound("first-measurement-chi", labels, max_witnesses)
+    return _context_free_bound("first-measurement-chi", _FIRST_MEASUREMENT_LABELS, max_witnesses)
 
 
 @cache
@@ -429,27 +415,24 @@ def _indices_attaining(target: int, variant: str, count: int) -> list[int]:
     return found
 
 
-@dataclass(frozen=True)
-class RelaxedScanResult:
-    """Sanity scan with leader sharing dropped (2^24 models, no witnesses)."""
-
-    variant: str
-    max_value: float
-    models_scanned: int
-
-
-def relaxed_omega_scan(variant: str = "signed") -> RelaxedScanResult:
+def relaxed_omega_scan(variant: str = "signed") -> BoundResult:
     """Max omega over the superset of models without leader sharing.
 
     Shows how much of the signed bound rests on the leaders taking single
     values: with sharing dropped, each sequence may pick its leading
     outcome independently, the six products decouple, and the signed max
-    rises to the quantum value 18.
+    rises to the quantum value 18.  No witnesses are decoded
+    (``argmax_models`` is empty): the 24-bit indices are not ``HVModel``s.
     """
     if variant not in ("signed", "abs"):
         raise ValueError(f"variant must be 'signed' or 'abs', got {variant!r}")
     best, _ = _scan(_RELAXED, variant, 0, N_RELAXED_MODELS)
-    return RelaxedScanResult(variant=variant, max_value=float(best), models_scanned=N_RELAXED_MODELS)
+    return BoundResult(
+        variant=variant,
+        max_value=float(best),
+        argmax_models=(),
+        models_scanned=N_RELAXED_MODELS,
+    )
 
 
 @dataclass(frozen=True)
@@ -506,23 +489,18 @@ class GapReport:
 
 
 def bound_gap_report(
-    chi_bound: BoundResult | None = None,
-    first_bound: BoundResult | None = None,
-    signed_bound: BoundResult | None = None,
-    abs_bound: BoundResult | None = None,
+    chi_bound: BoundResult,
+    first_bound: BoundResult,
+    signed_bound: BoundResult,
+    abs_bound: BoundResult,
 ) -> GapReport:
-    """Compare quantum values against the scanned bounds.
+    """Compare quantum values against the given scanned bounds.
 
-    Any bound not supplied is recomputed.  The quantum values are taken
-    from the exact engine at visibility 1, not hard-coded.
+    The quantum values are taken from the exact engine at visibility 1,
+    not hard-coded.
     """
     from .inequality import omega
     from .states import four_qubit_state
-
-    chi_bound = chi_bound or noncontextual_chi_bound()
-    first_bound = first_bound or first_measurement_bound()
-    signed_bound = signed_bound or local_omega_bound("signed")
-    abs_bound = abs_bound or local_omega_bound("abs")
 
     report = omega(four_qubit_state(1.0))
     chi_gap = report.chi - chi_bound.max_value

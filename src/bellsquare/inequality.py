@@ -111,14 +111,14 @@ class InequalityReport:
 @cache
 def _sequence_phase(name: str) -> float:
     """Identity coefficient of sequence ``name``'s operator product: ±1."""
-    return pauli_product(OBSERVABLES[lab].pauli for lab in SEQUENCES[name]).phase.real
+    return pauli_product(OBSERVABLES[lab] for lab in SEQUENCES[name]).phase.real
 
 
 @cache
 def _s_operator_stack() -> np.ndarray:
     """Read-only (12, 16, 16) stack of the matrices A · B', one per S term."""
     stack = np.stack([
-        to_matrix(pauli_product([OBSERVABLES[t.alice].pauli, OBSERVABLES[t.bob].pauli]))
+        to_matrix(pauli_product([OBSERVABLES[t.alice], OBSERVABLES[t.bob]]))
         for t in S_TERMS
     ])
     stack.flags.writeable = False  # shared by every caller through the cache

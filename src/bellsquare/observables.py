@@ -11,6 +11,10 @@ mirror of an Alice observable moved to his qubit pair.  In the ideal
 paired-singlet state every partner pair is perfectly correlated or
 anticorrelated (sign table ``PAIR_SIGNS``).
 
+``OBSERVABLES`` maps each of the fifteen labels to its Hermitian Pauli
+string; ``ALICE_LABELS`` and ``BOB_LABELS`` say whose it is, and the
+string's ``support`` says which qubits it acts on.
+
 Alice measures one of six fixed ordered sequences (three rows, three
 columns of the square).  ``S_TERMS`` lists the twelve (Alice observable,
 Bob partner, sequence, slot) combinations whose conditional correlators
@@ -25,8 +29,6 @@ from numbers import Integral
 import numpy as np
 
 from .pauli import PauliString, commutes, pauli_product, to_matrix
-
-N_QUBITS = 4
 
 _ALICE_DEFS = {
     "A": "ZIII",
@@ -53,22 +55,8 @@ ALICE_LABELS = tuple(_ALICE_DEFS)
 BOB_LABELS = tuple(_BOB_DEFS)
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A named measurement: a Hermitian Pauli string with ±1 outcomes."""
-
-    label: str
-    side: str  # "alice" or "bob"
-    pauli: PauliString
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.pauli.support
-
-
-OBSERVABLES: dict[str, Observable] = {
-    **{lab: Observable(lab, "alice", PauliString.from_label(s)) for lab, s in _ALICE_DEFS.items()},
-    **{lab: Observable(lab, "bob", PauliString.from_label(s)) for lab, s in _BOB_DEFS.items()},
+OBSERVABLES: dict[str, PauliString] = {
+    lab: PauliString.from_label(s) for lab, s in {**_ALICE_DEFS, **_BOB_DEFS}.items()
 }
 
 # The 3x3 square: rows and columns are the six compatible contexts.
@@ -167,7 +155,7 @@ def mermin_square_check() -> SquareCheck:
     products: dict[str, int] = {}
     max_dev = 0.0
     for name in SEQUENCE_ORDER:
-        trio = [OBSERVABLES[lab].pauli for lab in SEQUENCES[name]]
+        trio = [OBSERVABLES[lab] for lab in SEQUENCES[name]]
         for i in range(3):
             for j in range(i + 1, 3):
                 if not commutes(trio[i], trio[j]):

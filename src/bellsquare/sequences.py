@@ -86,7 +86,8 @@ class OutcomeDistribution:
     """Exact joint distribution over ±1 outcome tuples for one spec.
 
     Entries hold only outcomes with nonzero probability; probabilities are
-    finite, nonnegative and sum to 1 within ``PROBABILITY_SUM_TOL``.
+    finite, no lower than -1e-12 (a zero after rounding) and sum to 1
+    within ``PROBABILITY_SUM_TOL``.
     """
 
     spec: SequenceSpec
@@ -143,7 +144,7 @@ def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistr
     """
     _check_four_qubits(rho)
     labels = spec.alice_labels + (() if spec.bob is None else (spec.bob,))
-    projectors = [_projectors(OBSERVABLES[lab].pauli) for lab in labels]
+    projectors = [_projectors(OBSERVABLES[lab]) for lab in labels]
     entries = {}
     for outcomes in product((1, -1), repeat=len(labels)):
         chosen = [pair[0 if o == 1 else 1] for pair, o in zip(projectors, outcomes)]
@@ -229,9 +230,11 @@ def uniform01(seed: int, count: int, start: int = 0) -> np.ndarray:
 def _inverse_cdf(dist: OutcomeDistribution) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Sorted outcome cells and their non-decreasing cumulative probabilities."""
     cells = sorted(dist.entries)
-    # A valid state's probabilities may sum to just above 1; clamping keeps
-    # the cumulative sorted, which searchsorted and the tallies require.
-    cumulative = np.minimum(np.cumsum([dist.entries[c] for c in cells]), 1.0)
+    # An entry may be as low as -1e-12 and a valid state's probabilities may
+    # sum to just above 1; clamping both keeps the cumulative sorted, which
+    # searchsorted and the tallies require.
+    probabilities = np.maximum([dist.entries[c] for c in cells], 0.0)
+    cumulative = np.minimum(np.cumsum(probabilities), 1.0)
     cumulative[-1] = 1.0  # guard against rounding just below 1
     return cells, cumulative
 

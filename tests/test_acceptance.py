@@ -36,7 +36,7 @@ def test_criterion_1_operator_identities():
         # Symbolic route.
         products = {}
         for name, labels in bs.SEQUENCES.items():
-            prod = bs.pauli_product(bs.OBSERVABLES[lab].pauli for lab in labels)
+            prod = bs.pauli_product(bs.OBSERVABLES[lab] for lab in labels)
             assert prod.x_mask == 0 and prod.z_mask == 0
             products[name] = int(prod.phase.real)
         assert products == expected
@@ -45,7 +45,7 @@ def test_criterion_1_operator_identities():
         for name, labels in bs.SEQUENCES.items():
             numeric = np.eye(16, dtype=complex)
             for lab in labels:
-                numeric = numeric @ bs.to_matrix(bs.OBSERVABLES[lab].pauli)
+                numeric = numeric @ bs.to_matrix(bs.OBSERVABLES[lab])
             assert np.max(np.abs(numeric - expected[name] * np.eye(16))) <= 1e-12
 
         check = bs.mermin_square_check()
@@ -63,7 +63,7 @@ def test_criterion_2_quantum_correlations():
         # Global expectations of the six products.
         for alice, sign in signs.items():
             bob = alice + "'"
-            pair = bs.pauli_mul(bs.OBSERVABLES[alice].pauli, bs.OBSERVABLES[bob].pauli)
+            pair = bs.pauli_mul(bs.OBSERVABLES[alice], bs.OBSERVABLES[bob])
             assert bs.expectation(rho, pair) == pytest.approx(sign, abs=1e-10)
 
         # Per-sequence, from each setting's joint distribution: all twelve entries.
@@ -130,7 +130,12 @@ def test_criterion_5_abs_variant_audit():
         assert chain.all_hold and chain.identities_hold
         assert chain.cases_checked == 192
 
-        gap = bs.bound_gap_report(abs_bound=abs_bound)
+        gap = bs.bound_gap_report(
+            bs.noncontextual_chi_bound(),
+            bs.first_measurement_bound(),
+            bs.local_omega_bound("signed"),
+            abs_bound,
+        )
         assert gap.abs_gap == pytest.approx(0.0, abs=1e-9)
         assert gap.abs_variant_reaches_quantum_value
         assert gap.note  # the discrepancy is stated, not silently resolved

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import bellsquare.cli
+from bellsquare import BoundResult, decode_model
 from bellsquare.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -142,6 +144,17 @@ class TestHvBound:
         assert gap["signed_gap"] == pytest.approx(2.0, abs=1e-9)
         assert gap["gaps_equal"] is True
         assert gap["abs_variant_reaches_quantum_value"] is True
+
+    def test_wrong_witness_is_physics_failure(self, capsys, monkeypatch):
+        # The bound matches but its witness reaches only omega_signed = 8.
+        bogus = BoundResult("signed", 16.0, (decode_model(0),), 2**21)
+        monkeypatch.setattr(bellsquare.cli, "local_omega_bound", lambda variant: bogus)
+        code, report = run_json(["hv-bound", "--variant", "signed"], capsys)
+        assert code == 1
+        assert report["passed"] is False
+        entry = report["results"]["bounds"]["signed"]
+        assert entry["matches_expected"] is True
+        assert entry["witnesses"][0]["omega_signed"] == 8
 
     def test_relaxed_scan_reported(self, capsys):
         code, report = run_json(["hv-bound", "--variant", "signed", "--relaxed"], capsys)

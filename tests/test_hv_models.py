@@ -357,6 +357,7 @@ class TestRelaxedScan:
         result = relaxed_omega_scan("signed")
         assert result.models_scanned == 1 << 24
         assert result.max_value == 18.0  # without sharing the bound collapses
+        assert result.argmax_models == ()
 
     def test_abs_unchanged(self):
         assert relaxed_omega_scan("abs").max_value == 18.0
@@ -431,7 +432,12 @@ class TestBlockKernel:
 
 class TestGapReport:
     def test_gaps(self):
-        report = bound_gap_report()
+        report = bound_gap_report(
+            noncontextual_chi_bound(),
+            first_measurement_bound(),
+            local_omega_bound("signed"),
+            local_omega_bound("abs"),
+        )
         assert report.chi_quantum == pytest.approx(6.0, abs=1e-9)
         assert report.omega_quantum == pytest.approx(18.0, abs=1e-9)
         assert report.chi_gap == pytest.approx(2.0, abs=1e-9)

@@ -23,17 +23,13 @@ from conftest import LETTER_DEFS
 class TestDefinitions:
     def test_letter_forms(self):
         for label, letters in LETTER_DEFS.items():
-            assert OBSERVABLES[label].pauli.label == "+" + letters
+            assert OBSERVABLES[label].label == "+" + letters
 
     def test_sides_and_support(self):
         for label in ALICE_LABELS:
-            obs = OBSERVABLES[label]
-            assert obs.side == "alice"
-            assert set(obs.support) <= {1, 2}
+            assert set(OBSERVABLES[label].support) <= {1, 2}
         for label in BOB_LABELS:
-            obs = OBSERVABLES[label]
-            assert obs.side == "bob"
-            assert set(obs.support) <= {3, 4}
+            assert set(OBSERVABLES[label].support) <= {3, 4}
 
     def test_fifteen_observables(self):
         assert len(OBSERVABLES) == 15
@@ -41,14 +37,14 @@ class TestDefinitions:
 
     def test_all_observable_grade(self):
         for obs in OBSERVABLES.values():
-            assert obs.pauli.is_hermitian
-            assert obs.pauli.phase in (1, -1)
+            assert obs.is_hermitian
+            assert obs.phase in (1, -1)
 
 
 class TestSquareLayout:
     @pytest.mark.parametrize("triple", SQUARE_ROWS + SQUARE_COLUMNS)
     def test_contexts_commute(self, triple):
-        strings = [OBSERVABLES[lab].pauli for lab in triple]
+        strings = [OBSERVABLES[lab] for lab in triple]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert commutes(strings[i], strings[j])
@@ -56,7 +52,7 @@ class TestSquareLayout:
     def test_products_have_single_minus_identity(self):
         coefficients = []
         for triple in SQUARE_ROWS + SQUARE_COLUMNS:
-            prod = pauli_product(OBSERVABLES[lab].pauli for lab in triple)
+            prod = pauli_product(OBSERVABLES[lab] for lab in triple)
             assert prod.x_mask == 0 and prod.z_mask == 0
             coefficients.append(prod.phase)
         assert coefficients.count(-1) == 1

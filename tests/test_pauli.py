@@ -65,11 +65,11 @@ class TestProduct:
 
     def test_sequence_product_identity(self):
         # A * B * C multiplies to +Identity.
-        prod = pauli_product(OBSERVABLES[lab].pauli for lab in ("A", "B", "C"))
+        prod = pauli_product(OBSERVABLES[lab] for lab in ("A", "B", "C"))
         assert prod.is_identity
 
     def test_gamma_c_C_is_minus_identity(self):
-        prod = pauli_product(OBSERVABLES[lab].pauli for lab in ("γ", "c", "C"))
+        prod = pauli_product(OBSERVABLES[lab] for lab in ("γ", "c", "C"))
         assert prod.x_mask == 0 and prod.z_mask == 0
         assert prod.phase == -1
 
@@ -80,7 +80,7 @@ class TestProduct:
     def test_involution_for_observables(self):
         # Every observable squares to +Identity.
         for obs in OBSERVABLES.values():
-            assert pauli_mul(obs.pauli, obs.pauli).is_identity
+            assert pauli_mul(obs, obs).is_identity
 
     def test_associativity_random_triples(self):
         rng = np.random.default_rng(20240817)
@@ -94,15 +94,15 @@ class TestProduct:
 
 class TestCommutes:
     def test_disjoint_support_commutes(self):
-        assert commutes(OBSERVABLES["A"].pauli, OBSERVABLES["B"].pauli)
+        assert commutes(OBSERVABLES["A"], OBSERVABLES["B"])
 
     def test_single_qubit_anticommutation(self):
-        assert not commutes(OBSERVABLES["A"].pauli, OBSERVABLES["b"].pauli)
+        assert not commutes(OBSERVABLES["A"], OBSERVABLES["b"])
 
     @pytest.mark.parametrize("labels", [("A", "B", "C"), ("b", "a", "c"), ("γ", "β", "α"),
                                         ("A", "a", "α"), ("b", "B", "β"), ("γ", "c", "C")])
     def test_sequences_pairwise_commute(self, labels):
-        trio = [OBSERVABLES[lab].pauli for lab in labels]
+        trio = [OBSERVABLES[lab] for lab in labels]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert commutes(trio[i], trio[j])
@@ -117,19 +117,19 @@ class TestToMatrix:
         assert np.array_equal(to_matrix(PauliString.identity(1)), np.eye(2))
 
     def test_gamma_is_yy(self):
-        gamma = OBSERVABLES["γ"].pauli
+        gamma = OBSERVABLES["γ"]
         assert np.allclose(to_matrix(gamma), oracle_matrix("γ"), atol=1e-15)
 
     def test_all_observables_match_oracle(self):
         for label, obs in OBSERVABLES.items():
-            assert np.allclose(to_matrix(obs.pauli), oracle_matrix(label), atol=1e-15)
+            assert np.allclose(to_matrix(obs), oracle_matrix(label), atol=1e-15)
 
     def test_product_homomorphism_all_pairs(self):
         items = list(OBSERVABLES.values())
         for left in items:
             for right in items:
-                symbolic = to_matrix(pauli_mul(left.pauli, right.pauli))
-                numeric = to_matrix(left.pauli) @ to_matrix(right.pauli)
+                symbolic = to_matrix(pauli_mul(left, right))
+                numeric = to_matrix(left) @ to_matrix(right)
                 assert np.max(np.abs(symbolic - numeric)) <= 1e-12
 
     def test_abc_matrix_is_identity(self):

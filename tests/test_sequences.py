@@ -134,7 +134,7 @@ class TestSequenceDistribution:
             for bob in (None, *BOB_LABELS):
                 spec = SequenceSpec(name, bob)
                 labels = list(spec.alice_labels) + ([bob] if bob else [])
-                paulis = [OBSERVABLES[lab].pauli for lab in labels]
+                paulis = [OBSERVABLES[lab] for lab in labels]
                 for i, p in enumerate(paulis):
                     for q in paulis[i + 1:]:
                         assert commutes(p, q), (spec, p.label, q.label)
@@ -212,7 +212,7 @@ class TestPositionMarginals:
         for name in SEQUENCE_ORDER:
             dist = sequence_distribution(rho, SequenceSpec(name))
             for position, label in enumerate(SEQUENCES[name], start=1):
-                direct = (1 + expectation(rho, OBSERVABLES[label].pauli)) / 2
+                direct = (1 + expectation(rho, OBSERVABLES[label])) / 2
                 assert alice_marginal(dist, position)[1] == pytest.approx(direct, abs=1e-10)
 
 
@@ -405,6 +405,17 @@ class TestInverseCdf:
             cumulative = _inverse_cdf(setting_distribution(index, ("trace_edge", param)))[1]
             assert np.all(np.diff(cumulative) >= 0)
             assert cumulative[-1] == 1.0
+
+    def test_cumulative_sorted_with_negative_entry(self):
+        # Entries down to -1e-12 are accepted; unclamped, this one makes
+        # the running sum fall from 0.5 to 0.4999999999995.
+        dist = OutcomeDistribution(
+            SequenceSpec("ABC"),
+            {(1, 1, 1): 0.5 + 5e-13, (1, -1, -1): -5e-13, (-1, 1, -1): 0.5},
+        )
+        cumulative = _inverse_cdf(dist)[1]
+        assert np.all(np.diff(cumulative) >= 0)
+        assert cumulative.tolist() == [0.5, 0.5, 1.0]
 
 
 class TestSamplerProperties:

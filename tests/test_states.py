@@ -20,7 +20,7 @@ from conftest import oracle_matrix
 
 
 def pair_string(alice_label: str, bob_label: str) -> PauliString:
-    return pauli_mul(OBSERVABLES[alice_label].pauli, OBSERVABLES[bob_label].pauli)
+    return pauli_mul(OBSERVABLES[alice_label], OBSERVABLES[bob_label])
 
 
 class TestDensityState:
@@ -131,7 +131,7 @@ class TestFourQubitState:
 
     def test_mixed_state_kills_nonidentity_expectations(self, mixed_state):
         for label in ("A", "γ", "B'", "β'"):
-            assert expectation(mixed_state, OBSERVABLES[label].pauli) == pytest.approx(0, abs=1e-12)
+            assert expectation(mixed_state, OBSERVABLES[label]) == pytest.approx(0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "alice,bob,degree",
@@ -156,11 +156,11 @@ class TestExpectation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(singlet_pair(), OBSERVABLES["A"].pauli)
+            expectation(singlet_pair(), OBSERVABLES["A"])
 
     def test_result_in_range(self, ideal_state):
         for obs in OBSERVABLES.values():
-            assert -1.0 <= expectation(ideal_state, obs.pauli) <= 1.0
+            assert -1.0 <= expectation(ideal_state, obs) <= 1.0
 
 
 def test_four_qubit_state_matches_oracle_construction():
