@@ -82,15 +82,10 @@ def _jsonable(value):
 
 
 def _model_payload(model: HVModel) -> dict:
-    evaluation = evaluate_model(model)
     return {
         "alice": {seq: [model.alice[seq, p] for p in (1, 2, 3)] for seq in SEQUENCE_ORDER},
         "bob": dict(model.bob),
-        "chi": evaluation.chi,
-        "s_abs": evaluation.s_abs,
-        "s_signed": evaluation.s_signed,
-        "omega_abs": evaluation.omega_abs,
-        "omega_signed": evaluation.omega_signed,
+        **asdict(evaluate_model(model)),
     }
 
 

@@ -48,7 +48,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
-from numbers import Integral
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -57,18 +56,14 @@ from .observables import (
     ALICE_LABELS,
     BOB_LABELS,
     CHI_SIGNS,
+    PAIR_SIGNS,
     S_TERMS,
     SEQUENCE_LEADERS,
     SEQUENCE_ORDER,
     SEQUENCES,
     _checked_int,
+    _is_sign,
 )
-
-N_ALICE_FREE_BITS = 15  # 18 sequence slots minus 3 shared leader values
-N_MODEL_BITS = N_ALICE_FREE_BITS + len(BOB_LABELS)
-N_MODELS = 1 << N_MODEL_BITS
-N_RELAXED_BITS = 24  # leader sharing dropped: 18 Alice slots + 6 Bob
-N_RELAXED_MODELS = 1 << N_RELAXED_BITS
 
 # Scan blocks: a model index is a block number (bits >= 16) and an offset
 # (bits 0-15) into the block.
@@ -111,11 +106,9 @@ _RELAXED_BIT = {
 }
 _CONSTRAINED = _layout(_MODEL_BIT)
 _RELAXED = _layout(_RELAXED_BIT)
-
-
-def _is_sign(value) -> bool:
-    """True for the integers +1 and -1; a bool or a float such as 1.0 is not an outcome."""
-    return isinstance(value, Integral) and not isinstance(value, bool) and value in (1, -1)
+N_MODEL_BITS = _CONSTRAINED.n_bits
+N_MODELS = 1 << N_MODEL_BITS
+N_RELAXED_MODELS = 1 << _RELAXED.n_bits
 
 
 @dataclass(frozen=True)
@@ -154,8 +147,7 @@ _FIRST_MEASUREMENT_LABELS = SEQUENCE_LEADERS + BOB_LABELS
 _FIRST_MEASUREMENT_KEYSET = frozenset(_FIRST_MEASUREMENT_LABELS)
 # Paired observables read through their Bob partners, leaders kept as-is.
 _BOB_SIDE_RELABEL = {
-    **{leader: leader for leader in SEQUENCE_LEADERS},
-    **{t.alice: t.bob for t in S_TERMS},
+    label: f"{label}'" if label in PAIR_SIGNS else label for label in ALICE_LABELS
 }
 
 

@@ -17,8 +17,9 @@ signed, 18 for abs); see :mod:`bellsquare.hv_models`.
 ``omega(rho)`` is the one entry point to the exact engine, which needs
 no outcome distribution.  All the observables of a setting commute, so
 each correlator is the expectation of one Pauli product,
-<A B'> = tr(ρ · A · B'), read from one contraction of ρ with a cached
-stack of the twelve product matrices.  Each chi term is the identity
+<A A'> = tr(ρ · A · A'), the same in both sequences that hold A, so one
+contraction of ρ with a cached stack of the six pair operators gives all
+twelve.  Each chi term is the identity
 coefficient of its sequence product, exactly ±1 for every state
 (compatible sequences have joint-measurement statistics: Gühne et al.,
 PRA 81, 022121 (2010)).  The outcome distributions of
@@ -42,7 +43,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .observables import CHI_SIGNS, OBSERVABLES, S_TERMS, SEQUENCE_ORDER, SEQUENCES, _checked_int
+from .observables import (
+    BOB_LABELS,
+    CHI_SIGNS,
+    OBSERVABLES,
+    PAIR_SIGNS,
+    S_TERMS,
+    SEQUENCE_ORDER,
+    SEQUENCES,
+    _checked_int,
+)
 from .pauli import pauli_product, to_matrix
 from .sequences import (
     SequenceSpec,
@@ -115,11 +125,12 @@ def _sequence_phase(name: str) -> float:
 
 
 @cache
-def _s_operator_stack() -> np.ndarray:
-    """Read-only (12, 16, 16) stack of the matrices A · B', one per S term."""
+def _pair_operator_stack() -> np.ndarray:
+    """Read-only (6, 16, 16) stack of the pair operators A · A', in
+    ``PAIR_SIGNS`` order."""
     stack = np.stack([
-        to_matrix(pauli_product([OBSERVABLES[t.alice], OBSERVABLES[t.bob]]))
-        for t in S_TERMS
+        to_matrix(pauli_product([OBSERVABLES[alice], OBSERVABLES[bob]]))
+        for alice, bob in zip(PAIR_SIGNS, BOB_LABELS)
     ])
     stack.flags.writeable = False  # shared by every caller through the cache
     return stack
@@ -133,8 +144,9 @@ def omega(rho: DensityState) -> InequalityReport:
     that sign for every state, read from the symbolic Pauli product and
     never estimated.  Alice's observable and Bob's partner commute with the
     rest of their setting, so each of the twelve correlators is
-    tr(ρ · A · B'), all computed by one contraction against the cached
-    operator stack.
+    tr(ρ · A · A'), the same in both sequences that hold A: one
+    contraction against the cached stack of the six pair operators
+    gives them all.
 
     Raises:
         ValueError: On a state not on 4 qubits.
@@ -142,12 +154,13 @@ def omega(rho: DensityState) -> InequalityReport:
             ``HERMITICITY_TOL``.
     """
     _check_four_qubits(rho)
-    values = np.einsum("kij,ji->k", _s_operator_stack(), rho.matrix)
+    values = np.einsum("kij,ji->k", _pair_operator_stack(), rho.matrix)
     worst = float(np.max(np.abs(values.imag)))
     if worst > HERMITICITY_TOL:
         raise RuntimeError(f"correlator has imaginary part {worst}")
     chi_terms = ChiTerms(terms={name: _sequence_phase(name) for name in SEQUENCE_ORDER})
-    s_terms = STerms(terms=dict(zip((t.key for t in S_TERMS), values.real.tolist())))
+    pairs = dict(zip(PAIR_SIGNS, values.real.tolist()))
+    s_terms = STerms(terms={t.key: pairs[t.alice] for t in S_TERMS})
     chi = chi_terms.chi
     s_abs = s_terms.s_abs
     s_signed = s_terms.s_signed

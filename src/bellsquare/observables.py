@@ -6,19 +6,20 @@ row and column multiplies to +Identity except the (C, c, γ) column, which
 multiplies to -Identity; that single sign is what makes a context-free
 ±1 assignment to the nine observables impossible.
 
-Bob holds qubits 3-4 and measures one of six partner observables, each the
-mirror of an Alice observable moved to his qubit pair.  In the ideal
+Bob holds qubits 3-4 and measures one of six partner observables: the
+partner X' of Alice's X is X moved to his qubit pair.  In the ideal
 paired-singlet state every partner pair is perfectly correlated or
-anticorrelated (sign table ``PAIR_SIGNS``).
+anticorrelated (sign table ``PAIR_SIGNS``, the one table of the pairs).
 
 ``OBSERVABLES`` maps each of the fifteen labels to its Hermitian Pauli
 string; ``ALICE_LABELS`` and ``BOB_LABELS`` say whose it is, and the
 string's ``support`` says which qubits it acts on.
 
 Alice measures one of six fixed ordered sequences (three rows, three
-columns of the square).  ``S_TERMS`` lists the twelve (Alice observable,
-Bob partner, sequence, slot) combinations whose conditional correlators
-enter the combined inequality.
+columns of the square).  Each paired observable lies in two of them, so
+the six pairs give twelve conditional correlators: ``S_TERMS`` is derived
+from ``PAIR_SIGNS`` and ``SEQUENCES``, one (Alice observable, Bob partner,
+sequence, slot) entry per pair and sequence that holds it.
 """
 
 from __future__ import annotations
@@ -42,14 +43,12 @@ _ALICE_DEFS = {
     "γ": "YYII",
 }
 
-_BOB_DEFS = {
-    "B'": "IIIZ",
-    "C'": "IIZZ",
-    "a'": "IIIX",
-    "c'": "IIXX",
-    "α'": "IIZX",
-    "β'": "IIXZ",
-}
+# Correlation sign of each paired observable with its Bob partner in the
+# ideal (visibility 1) state.
+PAIR_SIGNS = {"B": -1, "C": 1, "a": -1, "c": 1, "α": 1, "β": 1}
+
+# Bob's partner X' is Alice's X moved to qubits 3-4.
+_BOB_DEFS = {f"{label}'": "II" + _ALICE_DEFS[label][:2] for label in PAIR_SIGNS}
 
 ALICE_LABELS = tuple(_ALICE_DEFS)
 BOB_LABELS = tuple(_BOB_DEFS)
@@ -59,13 +58,10 @@ OBSERVABLES: dict[str, PauliString] = {
     lab: PauliString.from_label(s) for lab, s in {**_ALICE_DEFS, **_BOB_DEFS}.items()
 }
 
-# The 3x3 square: rows and columns are the six compatible contexts.
-SQUARE_ROWS = (("A", "B", "C"), ("a", "b", "c"), ("α", "β", "γ"))
-SQUARE_COLUMNS = (("A", "a", "α"), ("B", "b", "β"), ("C", "c", "γ"))
-
-# The six ordered sequences Alice measures, and the sign with which each
-# sequence product enters the chi combination.  The γcC product is -1, so
-# its minus sign makes every term contribute +1 quantum mechanically.
+# The six ordered sequences Alice measures, the rows and columns of the
+# square, and the sign with which each sequence product enters the chi
+# combination.  The γcC product is -1, so its minus sign makes every term
+# contribute +1 quantum mechanically.
 SEQUENCES: dict[str, tuple[str, str, str]] = {
     "ABC": ("A", "B", "C"),
     "bac": ("b", "a", "c"),
@@ -79,11 +75,7 @@ CHI_SIGNS = {"ABC": 1, "bac": 1, "γβα": 1, "Aaα": 1, "bBβ": 1, "γcC": -1}
 
 # Observables that lead two sequences; a local model must give each a
 # single outcome since nothing is ever measured before them.
-SEQUENCE_LEADERS = ("A", "b", "γ")
-
-# Correlation sign of each paired observable with its Bob partner in the
-# ideal (visibility 1) state.
-PAIR_SIGNS = {"B": -1, "C": 1, "a": -1, "c": 1, "α": 1, "β": 1}
+SEQUENCE_LEADERS = tuple(dict.fromkeys(trio[0] for trio in SEQUENCES.values()))
 
 
 @dataclass(frozen=True)
@@ -106,19 +98,12 @@ class STermSpec:
         return f"{self.alice}{self.bob}|{self.sequence}"
 
 
-S_TERMS: tuple[STermSpec, ...] = (
-    STermSpec("B", "B'", "ABC", 2, -1),
-    STermSpec("B", "B'", "bBβ", 2, -1),
-    STermSpec("C", "C'", "ABC", 3, 1),
-    STermSpec("C", "C'", "γcC", 3, 1),
-    STermSpec("a", "a'", "bac", 2, -1),
-    STermSpec("a", "a'", "Aaα", 2, -1),
-    STermSpec("c", "c'", "bac", 3, 1),
-    STermSpec("c", "c'", "γcC", 2, 1),
-    STermSpec("α", "α'", "γβα", 3, 1),
-    STermSpec("α", "α'", "Aaα", 3, 1),
-    STermSpec("β", "β'", "γβα", 2, 1),
-    STermSpec("β", "β'", "bBβ", 3, 1),
+# Each pair in PAIR_SIGNS order, read in each sequence that holds it.
+S_TERMS: tuple[STermSpec, ...] = tuple(
+    STermSpec(alice, f"{alice}'", name, SEQUENCES[name].index(alice) + 1, sign)
+    for alice, sign in PAIR_SIGNS.items()
+    for name in SEQUENCE_ORDER
+    if alice in SEQUENCES[name]
 )
 
 
@@ -178,6 +163,11 @@ def mermin_square_check() -> SquareCheck:
 
     chi_combination = float(sum(CHI_SIGNS[n] * products[n] for n in SEQUENCE_ORDER))
     return SquareCheck(products=products, chi_combination=chi_combination, max_matrix_deviation=max_dev)
+
+
+def _is_sign(value) -> bool:
+    """True for the integers +1 and -1; a bool or a float such as 1.0 is not an outcome."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value in (1, -1)
 
 
 def _checked_int(name: str, value, low=float("-inf"), high=float("inf")) -> int:

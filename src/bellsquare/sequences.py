@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES, _checked_int
+from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES, _checked_int, _is_sign
 from .pauli import PauliString, to_matrix
 from .states import DensityState
 
@@ -100,7 +100,7 @@ class OutcomeDistribution:
                 raise ValueError(
                     f"outcome tuple {outcomes} does not match spec length {self.spec.n_outcomes}"
                 )
-            if any(o not in (1, -1) for o in outcomes):
+            if not all(map(_is_sign, outcomes)):
                 raise ValueError(f"outcomes must be ±1, got {outcomes}")
             if not (math.isfinite(prob) and prob >= -1e-12):
                 raise ValueError(f"negative or non-finite probability {prob} for {outcomes}")

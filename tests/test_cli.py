@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import bellsquare.cli
-from bellsquare import BoundResult, decode_model
+import bellsquare.observables
+from bellsquare import SEQUENCE_ORDER, BoundResult, decode_model
+from bellsquare.observables import SquareCheck
 from bellsquare.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -77,6 +79,20 @@ class TestIdentities:
         assert results["chi_sign_combination"] == 6.0
         assert len(results["observables"]) == 15
         assert results["symbolic_vs_matrix_max_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("check", [
+        # The γcC product comes out +1, so the chi combination is 4.
+        SquareCheck(products=dict.fromkeys(SEQUENCE_ORDER, 1), chi_combination=4.0,
+                    max_matrix_deviation=0.0),
+        # Right signs, but the matrix products miss the identity by 1e-9.
+        SquareCheck(products={**dict.fromkeys(SEQUENCE_ORDER, 1), "γcC": -1},
+                    chi_combination=6.0, max_matrix_deviation=1e-9),
+    ])
+    def test_failed_check_exits_one(self, capsys, monkeypatch, check):
+        monkeypatch.setattr(bellsquare.observables, "mermin_square_check", lambda: check)
+        code, report = run_json(["identities"], capsys)
+        assert code == 1
+        assert report["passed"] is False
 
 
 class TestQuantum:

@@ -1,4 +1,4 @@
-"""Tests for the observable table, the square layout and the S-term anatomy."""
+"""Tests for the observable table, the sequences and the S-term anatomy."""
 
 import pytest
 
@@ -15,7 +15,7 @@ from bellsquare import (
     mermin_square_check,
     pauli_product,
 )
-from bellsquare.observables import SQUARE_COLUMNS, SQUARE_ROWS
+from bellsquare.observables import SEQUENCE_LEADERS
 
 from conftest import LETTER_DEFS
 
@@ -34,6 +34,9 @@ class TestDefinitions:
     def test_fifteen_observables(self):
         assert len(OBSERVABLES) == 15
         assert set(OBSERVABLES) == set(ALICE_LABELS) | set(BOB_LABELS)
+        # The 2^21 bit layout follows this order.
+        assert BOB_LABELS == ("B'", "C'", "a'", "c'", "α'", "β'")
+        assert SEQUENCE_LEADERS == ("A", "b", "γ")
 
     def test_all_observable_grade(self):
         for obs in OBSERVABLES.values():
@@ -42,7 +45,7 @@ class TestDefinitions:
 
 
 class TestSquareLayout:
-    @pytest.mark.parametrize("triple", SQUARE_ROWS + SQUARE_COLUMNS)
+    @pytest.mark.parametrize("triple", SEQUENCES.values())
     def test_contexts_commute(self, triple):
         strings = [OBSERVABLES[lab] for lab in triple]
         for i in range(3):
@@ -51,21 +54,24 @@ class TestSquareLayout:
 
     def test_products_have_single_minus_identity(self):
         coefficients = []
-        for triple in SQUARE_ROWS + SQUARE_COLUMNS:
+        for triple in SEQUENCES.values():
             prod = pauli_product(OBSERVABLES[lab] for lab in triple)
             assert prod.x_mask == 0 and prod.z_mask == 0
             coefficients.append(prod.phase)
         assert coefficients.count(-1) == 1
-        minus_triple = (SQUARE_ROWS + SQUARE_COLUMNS)[coefficients.index(-1)]
+        minus_triple = list(SEQUENCES.values())[coefficients.index(-1)]
         assert set(minus_triple) == {"C", "c", "γ"}
 
 
 class TestSequences:
     def test_sequence_members_tile_the_square(self):
-        rows = {frozenset(SEQUENCES[s]) for s in ("ABC", "bac", "γβα")}
-        assert rows == {frozenset(t) for t in SQUARE_ROWS}
-        cols = {frozenset(SEQUENCES[s]) for s in ("Aaα", "bBβ", "γcC")}
-        assert cols == {frozenset(t) for t in SQUARE_COLUMNS}
+        rows, columns = SEQUENCE_ORDER[:3], SEQUENCE_ORDER[3:]
+        for lines in (rows, columns):
+            members = [label for name in lines for label in SEQUENCES[name]]
+            assert sorted(members) == sorted(ALICE_LABELS)
+        for row in rows:
+            for column in columns:
+                assert len(set(SEQUENCES[row]) & set(SEQUENCES[column])) == 1
 
     def test_chi_sign_pattern(self):
         assert [CHI_SIGNS[s] for s in SEQUENCE_ORDER] == [1, 1, 1, 1, 1, -1]
@@ -101,3 +107,8 @@ class TestSTerms:
     def test_keys_are_unique(self):
         keys = [t.key for t in S_TERMS]
         assert len(set(keys)) == 12
+        # The sampler seeds each setting by its index in this order.
+        assert keys == [
+            "BB'|ABC", "BB'|bBβ", "CC'|ABC", "CC'|γcC", "aa'|bac", "aa'|Aaα",
+            "cc'|bac", "cc'|γcC", "αα'|γβα", "αα'|Aaα", "ββ'|γβα", "ββ'|bBβ",
+        ]

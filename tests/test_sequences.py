@@ -73,8 +73,10 @@ class TestOutcomeDistribution:
             OutcomeDistribution(SequenceSpec("ABC"), {(1, 1): 1.0})
 
     def test_rejects_non_pm_one(self):
-        with pytest.raises(ValueError):
-            OutcomeDistribution(SequenceSpec("ABC"), {(1, 1, 0): 1.0})
+        # A bool or a float equals ±1 but is not an outcome, as in HVModel.
+        for outcomes in [(1, 1, 0), (True, 1, 1), (1.0, 1, 1)]:
+            with pytest.raises(ValueError, match="±1"):
+                OutcomeDistribution(SequenceSpec("ABC"), {outcomes: 1.0})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("other", [None, 1.0])
