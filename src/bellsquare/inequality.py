@@ -354,6 +354,7 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
     be an integer >= 1 and ``seed`` an integer, else ``ValueError``.
     """
     shots = _checked_int("shots", shots, 1)
+    seed = _checked_int("seed", seed)
     rho = four_qubit_state(visibility)
     exact = omega(rho)
 

@@ -34,9 +34,10 @@ exactly those of the per-shot picks.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product, repeat
 from typing import NamedTuple
 
@@ -282,9 +283,14 @@ def sample(rho: DensityState, spec: SequenceSpec, shots: int, seed: int) -> list
     """Simulate ``shots`` runs of one setting; bit-reproducible for a seed.
 
     Draws exactly what ``sample_outcomes`` draws.  Records sharing an
-    outcome share one tuple of Python ints.  At most ``MAX_RECORDS``
-    records are built; ``estimate_inequality`` keeps only outcome counts
-    and takes any shot count.
+    outcome share one tuple of Python ints, and each record's ``seed`` is
+    a plain ``int``.  At most ``MAX_RECORDS`` records are built;
+    ``estimate_inequality`` keeps only outcome counts and takes any shot
+    count.
+
+    The process-wide cyclic garbage collector is paused while the records
+    are built and re-enabled afterwards if it was enabled on entry, so a
+    thread that disables it during that window finds it enabled again.
     """
     shots = _checked_int("shots", shots, 1)
     if shots > MAX_RECORDS:
@@ -292,7 +298,20 @@ def sample(rho: DensityState, spec: SequenceSpec, shots: int, seed: int) -> list
             f"shots={shots} exceeds MAX_RECORDS={MAX_RECORDS} shot records; "
             "use estimate_inequality, which keeps only outcome counts"
         )
+    seed = _checked_int("seed", seed)
     cells, cumulative = _inverse_cdf(sequence_distribution(rho, spec))
     picks = np.searchsorted(cumulative, uniform01(seed, shots), side="right").tolist()
-    return list(map(ShotRecord._make, zip(
-        repeat(spec), map(cells.__getitem__, picks), range(shots), repeat(seed))))
+    # Each record holds the spec, so it is a GC-tracked tuple, and CPython
+    # starts collections by allocation count: building one huge list would
+    # walk the whole growing heap again and again.  The records hold no
+    # reference cycles, so pausing the collector frees nothing later.
+    # tuple.__new__ is what ShotRecord._make calls, minus a Python frame
+    # and a length check; zip always yields the four fields.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(partial(tuple.__new__, ShotRecord), zip(
+            repeat(spec), map(cells.__getitem__, picks), range(shots), repeat(seed))))
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,37 @@ class TestOmega:
         rho = DensityState(np.eye(16) / 16 + 4e-11j * bb)
         with pytest.raises(RuntimeError, match="imaginary part"):
             omega(rho)
+
+
+class TestQuantumMaximum:
+    """S_signed = tr(ρ·W) with W = Σ sign·A·A′ over the twelve S terms, so
+    the spectrum of W bounds ω_signed = 6 + S_signed over every state."""
+
+    W = sum(t.sign * oracle_matrix(t.alice) @ oracle_matrix(t.bob) for t in S_TERMS)
+
+    def test_spectrum(self):
+        eigenvalues = np.linalg.eigvalsh(self.W)
+        assert np.abs(eigenvalues - np.round(eigenvalues)).max() < 1e-9
+        assert Counter(np.round(eigenvalues).astype(int).tolist()) == {
+            12: 1, 4: 3, 0: 8, -4: 3, -12: 1}
+
+    def test_only_the_ideal_state_reaches_18(self, ideal_state):
+        top = np.linalg.eigh(self.W)[1][:, -1]
+        overlap = np.real(top.conj() @ ideal_state.matrix @ top)
+        assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, param",
+        [pytest.param("werner", v, id=str(v)) for v in (0.0, 0.5, ROOT_V, 0.9, 1.0)]
+        + [pytest.param("full_rank", s, id=f"full_rank-{s}") for s in range(61, 66)]
+        + [pytest.param("pure", s, id=f"pure-{s}") for s in range(66, 71)],
+    )
+    def test_fidelity_bound(self, ideal_state, kind, param):
+        # Top eigenvalue 12 on the ideal state ψ, at most 4 elsewhere:
+        # ω_signed ≤ 6 + 12F + 4(1 − F) with F = ⟨ψ|ρ|ψ⟩.
+        rho = seeded_state(kind, param)
+        fidelity = np.real(np.trace(rho.matrix @ ideal_state.matrix))
+        assert omega(rho).omega_signed <= 10 + 8 * fidelity + 1e-9
 
 
 class TestOmegaProperties:
@@ -364,9 +396,11 @@ class TestEstimate:
         assert estimate.within(5.0)
         assert estimate.omega_signed == pytest.approx(estimate.exact.omega_signed, abs=0.2)
 
-    def test_seed_reproducibility(self):
-        first = estimate_inequality(0.8, 5000, seed=1)
+    @pytest.mark.parametrize("seed", [1, np.int64(1), np.uint64(1)], ids=repr)
+    def test_seed_reproducibility(self, seed):
+        first = estimate_inequality(0.8, 5000, seed=seed)
         second = estimate_inequality(0.8, 5000, seed=1)
+        assert type(first.seed) is int and first.seed == 1
         assert first.omega_signed == second.omega_signed
         assert all(
             first.s_terms[k].estimate == second.s_terms[k].estimate for k in first.s_terms

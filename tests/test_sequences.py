@@ -1,5 +1,6 @@
 """Tests for sequence distributions, no-signaling and the shot sampler."""
 
+import gc
 import math
 import tracemalloc
 from functools import cache
@@ -14,6 +15,7 @@ from bellsquare import (
     S_TERMS,
     SEQUENCE_ORDER,
     SequenceSpec,
+    ShotRecord,
     bob_marginal,
     commutes,
     conditional_pair_expectation,
@@ -320,6 +322,7 @@ class TestSampler:
             rho = seeded_state(*state)
             records = sample(rho, spec, shots, seed)
             assert records == oracle_sample_records(rho, spec, shots, seed)
+            assert all(type(r) is ShotRecord for r in records)
             assert {type(v) for r in records for v in r.outcomes} == {int}
             assert all(r.spec is spec for r in records)
 
@@ -345,11 +348,37 @@ class TestSampler:
         products = [r.outcomes[0] * r.outcomes[1] * r.outcomes[2] for r in records]
         assert np.mean(products) == 1.0
 
-    def test_record_fields(self, ideal_state):
+    @pytest.mark.parametrize("seed", [5, np.int64(5), np.uint64(5)], ids=repr)
+    def test_record_fields(self, ideal_state, seed):
         spec = SequenceSpec("γcC", "c'")
-        records = sample(ideal_state, spec, 10, seed=5)
+        records = sample(ideal_state, spec, 10, seed=seed)
         assert [r.shot_index for r in records] == list(range(10))
         assert all(r.spec is spec and r.seed == 5 and len(r.outcomes) == 4 for r in records)
+        assert all(type(r.seed) is int for r in records)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_left_as_found(self, ideal_state, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            sample(ideal_state, SequenceSpec("ABC"), 1000, seed=1)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_collector_reenabled_when_build_raises(self, ideal_state, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("record build failed")
+
+        monkeypatch.setattr(sequences, "partial", broken)
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            with pytest.raises(RuntimeError, match="record build failed"):
+                sample(ideal_state, SequenceSpec("ABC"), 1000, seed=1)
+            assert gc.isenabled()
+        finally:
+            gc.enable() if was_enabled else gc.disable()
 
     def test_empirical_correlator_within_five_sigma(self):
         rho = four_qubit_state(0.8)
