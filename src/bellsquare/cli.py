@@ -278,19 +278,20 @@ def _parse_grid(text: str) -> list[float]:
     if not (0.0 <= start < stop <= 1.0):
         raise ValueError(f"grid must satisfy 0 <= start < stop <= 1, got {text!r}")
     too_many = f"grid {text!r} has more than {MAX_GRID_POINTS} points"
-    # The loop below builds floor(this) + 1 points, and then stop if the
-    # last of them falls short of it; the length check below covers that.
-    if (stop + 1e-12 - start) / step >= MAX_GRID_POINTS:
+    # With a slack over half a step the loop below would clamp whole steps to stop.  It
+    # builds floor(this) + 1 points, then stop if the last falls short (length-checked below).
+    slack = min(1e-12, step / 2)
+    if (stop + slack - start) / step >= MAX_GRID_POINTS:
         raise ValueError(too_many)
     values = []
     i = 0
     while True:
         v = start + i * step
-        if v > stop + 1e-12:
+        if v > stop + slack:
             break
         values.append(_round12(min(v, stop)))
         i += 1
-    if values[-1] < stop - 1e-12:
+    if values[-1] < stop - slack:
         values.append(stop)
     if len(values) > MAX_GRID_POINTS:
         raise ValueError(too_many)

@@ -14,16 +14,15 @@ Both variants are computed and reported because the exhaustive
 hidden-variable scan gives them different classical bounds (16 for
 signed, 18 for abs); see :mod:`bellsquare.hv_models`.
 
-``omega(rho)`` is the one entry point to the exact engine, which needs
-no outcome distribution.  All the observables of a setting commute, so
-each correlator is the expectation of one Pauli product,
-<A A'> = tr(ρ · A · A'), the same in both sequences that hold A, so one
-contraction of ρ with a cached stack of the six pair operators gives all
-twelve.  Each chi term is the identity
-coefficient of its sequence product, exactly ±1 for every state
-(compatible sequences have joint-measurement statistics: Gühne et al.,
-PRA 81, 022121 (2010)).  The outcome distributions of
-:mod:`bellsquare.sequences` serve the finite-shot sampler.
+``omega(rho)`` needs no outcome distribution.  All the observables of a
+setting commute, so each correlator is the expectation of one Pauli
+product, <A A'> = tr(ρ · A · A'), the same in both sequences that hold A:
+one contraction of ρ with the cached stack of the six pair operators
+reads all twelve, the same contraction that gives the outcome
+distributions of :mod:`bellsquare.sequences` to the finite-shot sampler.
+Each chi term is the identity coefficient of its sequence product,
+exactly ±1 for every state (compatible sequences have joint-measurement
+statistics: Gühne et al., PRA 81, 022121 (2010)).
 
 For the noisy preparation the signed S value is the polynomial
 ``4V + 8V**2`` in the visibility V while chi stays pinned at 6, so the
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Mapping
 
 import numpy as np
@@ -53,7 +51,7 @@ from .observables import (
     SEQUENCES,
     _checked_int,
 )
-from .pauli import pauli_product, to_matrix
+from .pauli import pauli_product
 from .sequences import (
     SequenceSpec,
     _check_four_qubits,
@@ -61,7 +59,8 @@ from .sequences import (
     derive_seed,
     sequence_distribution,
 )
-from .states import HERMITICITY_TOL, DensityState, four_qubit_state
+from .states import (
+    HERMITICITY_TOL, DensityState, _check_visibility, _pauli_expectations, four_qubit_state)
 
 NONCONTEXTUAL_CHI_BOUND = 4.0
 LOCAL_OMEGA_BOUND = 16.0
@@ -118,22 +117,17 @@ class InequalityReport:
         return self.chi > NONCONTEXTUAL_CHI_BOUND
 
 
-@cache
-def _sequence_phase(name: str) -> float:
-    """Identity coefficient of sequence ``name``'s operator product: ±1."""
-    return pauli_product(OBSERVABLES[lab] for lab in SEQUENCES[name]).phase.real
-
-
-@cache
-def _pair_operator_stack() -> np.ndarray:
-    """Read-only (6, 16, 16) stack of the pair operators A · A', in
-    ``PAIR_SIGNS`` order."""
-    stack = np.stack([
-        to_matrix(pauli_product([OBSERVABLES[alice], OBSERVABLES[bob]]))
-        for alice, bob in zip(PAIR_SIGNS, BOB_LABELS)
-    ])
-    stack.flags.writeable = False  # shared by every caller through the cache
-    return stack
+# The symbolic values that ``omega`` reads: the identity coefficient (±1)
+# of each sequence's operator product, and the six pair operators A · A'
+# in ``PAIR_SIGNS`` order.
+_SEQUENCE_PHASES = {
+    name: pauli_product(OBSERVABLES[lab] for lab in SEQUENCES[name]).phase.real
+    for name in SEQUENCE_ORDER
+}
+_PAIR_OPERATORS = tuple(
+    pauli_product([OBSERVABLES[alice], OBSERVABLES[bob]])
+    for alice, bob in zip(PAIR_SIGNS, BOB_LABELS)
+)
 
 
 def omega(rho: DensityState) -> InequalityReport:
@@ -154,11 +148,11 @@ def omega(rho: DensityState) -> InequalityReport:
             ``HERMITICITY_TOL``.
     """
     _check_four_qubits(rho)
-    values = np.einsum("kij,ji->k", _pair_operator_stack(), rho.matrix)
+    values = _pauli_expectations(rho, _PAIR_OPERATORS)
     worst = float(np.max(np.abs(values.imag)))
     if worst > HERMITICITY_TOL:
         raise RuntimeError(f"correlator has imaginary part {worst}")
-    chi_terms = ChiTerms(terms={name: _sequence_phase(name) for name in SEQUENCE_ORDER})
+    chi_terms = ChiTerms(terms=dict(_SEQUENCE_PHASES))
     pairs = dict(zip(PAIR_SIGNS, values.real.tolist()))
     s_terms = STerms(terms={t.key: pairs[t.alice] for t in S_TERMS})
     chi = chi_terms.chi
@@ -193,10 +187,7 @@ def visibility_threshold(chi_expt: float) -> float:
 def fidelity_from_visibility(visibility: float) -> float:
     """Per-pair root fidelity sqrt(F) = sqrt(3V + 1) / 2, with F = <psi-|rho|psi-> =
     (1 + 3V) / 4 for one noisy pair; the four-qubit fidelity is F^2, not this."""
-    v = float(visibility)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    return math.sqrt(3.0 * v + 1.0) / 2.0
+    return math.sqrt(3.0 * _check_visibility(visibility) + 1.0) / 2.0
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,13 @@ triple and Bob's observable acts on other qubits, so all the observables
 of a setting commute.  For commuting projective measurements the Lüders
 update in sequence has the same statistics as one joint measurement
 (Gühne et al., PRA 81, 022121 (2010)), so the exact joint distribution
-over ±1 outcomes is p(o) = tr(Π_i (I + o_i P_i)/2 · ρ), evaluated over
-all 8 (or 16, with Bob) outcome tuples, never by sampling.  The sampler
-exists only to emulate a finite-shot experiment and draws whole outcome
-tuples from the exact joint distribution by inverse CDF.
+of the k = 3 (or 4, with Bob) ±1 outcomes is
+p(o) = tr(Π_i (I + o_i P_i)/2 · ρ).  Multiplied out, this is the Fourier
+expansion p(o) = 2^-k Σ_T (Π_{i∈T} o_i) · tr(ρ · Π_{i∈T} P_i) over the
+subsets T of the setting: one contraction reads its 2^k Pauli
+expectations, with no sampling.  The sampler exists only to emulate a
+finite-shot experiment and draws whole outcome tuples from the exact
+joint distribution by inverse CDF.
 
 Reproducibility contract: randomness comes from a SplitMix64 counter
 stream.  Draw ``i`` (0-based) of the stream with seed ``s`` is::
@@ -37,15 +40,15 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import cache, partial, reduce
 from itertools import product, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES, _checked_int, _is_sign
-from .pauli import PauliString, to_matrix
-from .states import DensityState
+from .pauli import PauliString, pauli_product
+from .states import DensityState, _pauli_expectations
 
 PROBABILITY_SUM_TOL = 1e-10
 ZERO_PROBABILITY_TOL = 1e-12
@@ -122,36 +125,32 @@ def _check_four_qubits(rho: DensityState) -> None:
         raise ValueError(f"sequences are defined on 4 qubits, state has {rho.n_qubits}")
 
 
-@lru_cache(maxsize=None)
-def _projectors(obs: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only projectors (I + P)/2 and (I - P)/2 onto the ±1 eigenspaces."""
-    m = to_matrix(obs)
-    eye = np.eye(m.shape[0], dtype=complex)
-    plus = (eye + m) / 2
-    minus = (eye - m) / 2
-    plus.flags.writeable = False
-    minus.flags.writeable = False
-    return plus, minus
+@cache
+def _setting_table(labels: tuple[str, ...]):
+    """Outcome tuples, subset products and 2^-k · characters of one setting: subset c holds
+    the observables at the set bits of c, and outcome tuple r is -1 at the set bits of r."""
+    strings = tuple(
+        pauli_product(OBSERVABLES[lab] if t else PauliString.identity(4)
+                      for lab, t in zip(labels, subset))
+        for subset in product((False, True), repeat=len(labels)))
+    characters = reduce(np.kron, [np.array([[1, 1], [1, -1]])] * len(labels)) / 2 ** len(labels)
+    characters.flags.writeable = False  # shared by every caller through the cache
+    return tuple(product((1, -1), repeat=len(labels))), strings, characters
 
 
 def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistribution:
     """Exact outcome distribution of one setting as a joint measurement.
 
     Each outcome tuple o over Alice's three observables (then Bob's, if
-    present) gets p(o) = tr(Π_i (I + o_i P_i)/2 · ρ).  The observables
-    commute, so this equals the sequential Lüders distribution in any
-    measurement order.  Outcomes whose probability falls below the zero
-    threshold are dropped.
+    present) gets p(o) = 2^-k Σ_T (Π_{i∈T} o_i) · tr(ρ · Π_{i∈T} P_i); the
+    empty product is the identity, so its term is tr ρ.  Outcomes whose
+    probability falls below the zero threshold are dropped.
     """
     _check_four_qubits(rho)
     labels = spec.alice_labels + (() if spec.bob is None else (spec.bob,))
-    projectors = [_projectors(OBSERVABLES[lab]) for lab in labels]
-    entries = {}
-    for outcomes in product((1, -1), repeat=len(labels)):
-        chosen = [pair[0 if o == 1 else 1] for pair, o in zip(projectors, outcomes)]
-        prob = float(np.real(np.trace(reduce(np.matmul, chosen) @ rho.matrix)))
-        if prob >= ZERO_PROBABILITY_TOL:
-            entries[outcomes] = prob
+    outcomes, strings, characters = _setting_table(labels)
+    probabilities = characters @ _pauli_expectations(rho, strings).real
+    entries = {o: p for o, p in zip(outcomes, probabilities.tolist()) if p >= ZERO_PROBABILITY_TOL}
     return OutcomeDistribution(spec=spec, entries=entries)
 
 

@@ -2,7 +2,8 @@
 
 Builds the ideal four-qubit preparation (singlets pairing qubits 1-3 and
 2-4) with optional per-pair white noise, and reads expectation values of
-Pauli strings from it.  Every returned state is validated: finite entries,
+Pauli strings from it, each batch in one contraction against a cached
+stack of their matrices.  Every returned state is validated: finite entries,
 unit trace, Hermitian, positive semidefinite within fixed tolerances.
 
 States are immutable; the backing arrays are marked read-only.
@@ -11,6 +12,7 @@ States are immutable; the backing arrays are marked read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -103,13 +105,17 @@ def _reorder_qubits(matrix: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
     return t.reshape(matrix.shape)
 
 
-def _check_observable(rho: DensityState, obs: PauliString) -> None:
-    if obs.n_qubits != rho.n_qubits:
-        raise ValueError(
-            f"observable acts on {obs.n_qubits} qubits, state has {rho.n_qubits}"
-        )
-    if not obs.is_hermitian:
-        raise ValueError(f"observable {obs.label} is not Hermitian")
+@cache
+def _pauli_stack(strings: tuple[PauliString, ...]) -> np.ndarray:
+    """Read-only (k, 2^n, 2^n) stack of the strings' matrices."""
+    stack = np.stack([to_matrix(p) for p in strings])
+    stack.flags.writeable = False  # shared by every caller through the cache
+    return stack
+
+
+def _pauli_expectations(rho: DensityState, strings: tuple[PauliString, ...]) -> np.ndarray:
+    """Complex tr(ρ · P) for each string P, in one contraction."""
+    return np.einsum("kij,ji->k", _pauli_stack(strings), rho.matrix)
 
 
 def expectation(rho: DensityState, obs: PauliString) -> float:
@@ -121,8 +127,11 @@ def expectation(rho: DensityState, obs: PauliString) -> float:
     Raises:
         ValueError: On qubit-count mismatch or non-Hermitian observable.
     """
-    _check_observable(rho, obs)
-    value = complex(np.trace(to_matrix(obs) @ rho.matrix))
+    if obs.n_qubits != rho.n_qubits:
+        raise ValueError(f"observable acts on {obs.n_qubits} qubits, state has {rho.n_qubits}")
+    if not obs.is_hermitian:
+        raise ValueError(f"observable {obs.label} is not Hermitian")
+    value = complex(_pauli_expectations(rho, (obs,))[0])
     if abs(value.imag) > HERMITICITY_TOL:
         raise RuntimeError(f"expectation of {obs.label} has imaginary part {value.imag}")
     real = value.real

@@ -2,11 +2,12 @@
 
 The oracle helpers here rebuild everything from scratch with plain numpy
 (letter tables, kron products, projector sandwiches) so that engine
-results are checked against a second, independent route.
-``oracle_omega_via_distributions`` is the exception: it reaches omega
-through the library's joint outcome distributions, a route independent
-of the Pauli-expectation engine that ``omega`` uses.  Likewise
-``oracle_sampled_inequality`` keeps every shot from the library's
+results are checked against a second, independent route;
+``oracle_omega_via_distributions`` reaches omega through the projector
+sandwiches of ``oracle_sequential_distribution``, since the library's
+``omega`` and ``sequence_distribution`` share one contraction.  The
+exceptions read library results: ``oracle_sampled_inequality`` keeps
+every shot from the library's
 ``sample_outcomes``, the per-shot route that the count-based estimator
 must reproduce bit for bit, and ``oracle_sample_records`` builds shot
 records from those rows one tuple per row, the route ``sample`` must
@@ -21,12 +22,11 @@ from bellsquare import (
     DensityState,
     S_TERMS,
     SEQUENCE_ORDER,
+    SEQUENCES,
     SequenceSpec,
     ShotRecord,
-    conditional_pair_expectation,
     derive_seed,
     four_qubit_state,
-    product_expectation,
     sample_outcomes,
     sequence_distribution,
 )
@@ -81,17 +81,19 @@ def oracle_sequential_distribution(rho: np.ndarray, labels) -> dict[tuple[int, .
 
 
 def oracle_omega_via_distributions(rho) -> dict:
-    """The 18 inequality terms and both omega values from outcome
-    distributions: each chi term is the mean Alice product of its
-    sequence's joint distribution, each correlator the conditional pair
-    mean of its (sequence, Bob) setting's distribution."""
+    """The 18 inequality terms and both omega values from the projector
+    sandwiches of ``oracle_sequential_distribution``: each chi term is the
+    mean Alice product of its sequence's joint distribution, each
+    correlator the conditional pair mean of its (sequence, Bob) setting's
+    distribution."""
     chi_terms = {
-        name: product_expectation(sequence_distribution(rho, SequenceSpec(name)))
+        name: sum(p * o[0] * o[1] * o[2] for o, p in
+                  oracle_sequential_distribution(rho.matrix, SEQUENCES[name]).items())
         for name in SEQUENCE_ORDER
     }
     s_terms = {
-        t.key: conditional_pair_expectation(
-            sequence_distribution(rho, SequenceSpec(t.sequence, t.bob)), t.position)
+        t.key: sum(p * o[t.position - 1] * o[3] for o, p in oracle_sequential_distribution(
+            rho.matrix, [*SEQUENCES[t.sequence], t.bob]).items())
         for t in S_TERMS
     }
     chi = sum(CHI_SIGNS[name] * chi_terms[name] for name in SEQUENCE_ORDER)

@@ -214,6 +214,12 @@ class TestSweep:
         grid = [row["visibility"] for row in report["results"]["rows"]]
         assert grid == [0.0, 0.3, 0.6, 0.9, 1.0]
 
+    def test_grid_step_below_slack(self, capsys):
+        # A step far below the 1e-12 endpoint slack still gives distinct points.
+        _, report = run_json(["sweep", "--grid", "0:1e-13:1e-14"], capsys)
+        grid = [row["visibility"] for row in report["results"]["rows"]]
+        assert grid == [i * 1e-14 for i in range(10)] + [1e-13]
+
 
 class TestOutputRouting:
     def test_out_flag_writes_file(self, tmp_path, capsys):

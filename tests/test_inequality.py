@@ -1,5 +1,6 @@
 """Tests for inequality assembly, thresholds and sampled estimates."""
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -10,17 +11,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellsquare import (
+    ALICE_LABELS,
+    BOB_LABELS,
     CHI_SIGNS,
     DensityState,
+    OBSERVABLES,
     PAIR_SIGNS,
+    PauliString,
     S_TERMS,
     SEQUENCE_ORDER,
     SEQUENCES,
+    commutes,
     estimate_inequality,
     fidelity_from_visibility,
     find_violation_threshold,
     four_qubit_state,
     omega,
+    pauli_product,
     sweep,
     visibility_threshold,
     werner_pair,
@@ -150,6 +157,31 @@ class TestQuantumMaximum:
         assert Counter(np.round(eigenvalues).astype(int).tolist()) == {
             12: 1, 4: 3, 0: 8, -4: 3, -12: 1}
 
+    def test_spectrum_from_stabilizer_signs(self):
+        # Each pair operator A·A′ is ± a product of the singlet stabilizers,
+        # which commute and are independent, so their 16 sign patterns label
+        # 16 one-dimensional joint eigenspaces; W takes one integer on each.
+        stabilizers = [PauliString.from_label(s) for s in ("-ZIZI", "-XIXI", "-IZIZ", "-IXIX")]
+        assert all(commutes(p, q) for p in stabilizers for q in stabilizers)
+        identity = PauliString.identity(4)
+        group = {}
+        for subset in itertools.product((0, 1), repeat=4):
+            g = pauli_product([identity, *(p for p, t in zip(stabilizers, subset) if t)])
+            group[g.x_mask, g.z_mask] = (subset, g.phase.real)
+        assert len(group) == 16
+        # Each pair lies in two sequences, so W = 2·Σ sign·A·A′ over the six pairs.
+        assert Counter(t.alice for t in S_TERMS) == dict.fromkeys(PAIR_SIGNS, 2)
+        terms = []
+        for alice, sign in PAIR_SIGNS.items():
+            pair = pauli_product([OBSERVABLES[alice], OBSERVABLES[f"{alice}'"]])
+            subset, phase = group[pair.x_mask, pair.z_mask]
+            terms.append((2 * sign * int(pair.phase.real * phase), subset))
+        spectrum = Counter(
+            sum(c * math.prod(s for s, t in zip(signs, subset) if t) for c, subset in terms)
+            for signs in itertools.product((1, -1), repeat=4)
+        )
+        assert spectrum == {12: 1, 4: 3, 0: 8, -4: 3, -12: 1}
+
     def test_only_the_ideal_state_reaches_18(self, ideal_state):
         top = np.linalg.eigh(self.W)[1][:, -1]
         overlap = np.real(top.conj() @ ideal_state.matrix @ top)
@@ -170,9 +202,9 @@ class TestQuantumMaximum:
 
 
 class TestOmegaProperties:
-    """The Pauli-expectation engine on random states, against the
-    distribution route; a fixed example seed and no deadline keep the
-    draws deterministic."""
+    """The Pauli-expectation engine on random states, against outcome
+    distributions from plain numpy projector sandwiches; a fixed example
+    seed and no deadline keep the draws deterministic."""
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(["full_rank", "pure"]), seed=st.integers(0, 2**32 - 1))
@@ -282,6 +314,42 @@ class TestExactCertificate:
         v_squared = _q21_mul(v, v)
         poly = (8 * v_squared[0] + 4 * v[0] - 10, 8 * v_squared[1] + 4 * v[1])
         assert poly == (0, 0)
+
+
+class TestOneShotLocalModel:
+    """With one observable per side and no sequence, the correlations of the
+    noisy preparation admit a local model, in exact rational arithmetic."""
+
+    @pytest.mark.parametrize("v", [Fraction(1, 3), Fraction(9, 10), Fraction(1)], ids=str)
+    def test_one_shot_distributions(self, v):
+        rho = _exact_four_qubit_state(v)
+        for label in (*ALICE_LABELS, *BOB_LABELS):
+            assert _exact_expectation(rho, _int_matrix(label)) == 0
+        partner_correlation = {"B": -v, "a": -v, "C": v * v, "c": v * v, "α": v * v, "β": v * v}
+        assert partner_correlation.keys() == PAIR_SIGNS.keys()
+        for alice, bob in itertools.product(ALICE_LABELS, BOB_LABELS):
+            partner = bob[:-1]
+            a_matrix, b_matrix = _int_matrix(alice), _int_matrix(bob)
+            ab_matrix = _int_matmul(a_matrix, b_matrix)
+            correlation = partner_correlation[partner] if alice == partner else 0
+            assert _exact_expectation(rho, ab_matrix) == correlation
+            # Alice's nine values are i.i.d. uniform; Bob answers the pair
+            # sign times his partner's value with probability (1 + |E|)/2.
+            keep = (1 + abs(partner_correlation[partner])) / 2
+            for a, b in itertools.product((1, -1), repeat=2):
+                projector_product = [  # 4 · (I + aA)/2 · (I + bB′)/2
+                    [int(i == j) + a * a_matrix[i][j] + b * b_matrix[i][j] + a * b * ab_matrix[i][j]
+                     for j in range(16)]
+                    for i in range(16)
+                ]
+                quantum = _exact_expectation(rho, projector_product) / 4
+                partner_values = (a,) if alice == partner else (1, -1)
+                model = sum(
+                    Fraction(1, 2 * len(partner_values))
+                    * (keep if b == PAIR_SIGNS[partner] * x else 1 - keep)
+                    for x in partner_values
+                )
+                assert model == quantum, (alice, bob, a, b)
 
 
 class TestVisibilityThreshold:

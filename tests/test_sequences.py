@@ -117,7 +117,9 @@ class TestSequenceDistribution:
         "kind, param",
         [pytest.param("werner", v, id=str(v)) for v in (0.0, 0.6, 1.0)]
         + [pytest.param("full_rank", s, id=f"full_rank-{s}") for s in (11, 12, 13)]
-        + [pytest.param("pure", s, id=f"pure-{s}") for s in (21, 22, 23)],
+        + [pytest.param("pure", s, id=f"pure-{s}") for s in (21, 22, 23)]
+        # Trace 1 + 9e-11: the identity-product terms must read tr ρ, not 1.
+        + [pytest.param("trace_edge", w, id=f"trace_edge-{w}") for w in (1e-10, 7e-10)],
     )
     def test_matches_projector_oracle(self, kind, param):
         # Independent route: sequential projector sandwiches in plain numpy.
