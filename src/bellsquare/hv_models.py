@@ -28,9 +28,12 @@ sign * (-1)^(XOR of its bits).  One kernel evaluates any layout over an
 index range in blocks of 2^16 models.  An index splits into a block number
 (bits 16 and up) and a 16-bit offset; the term's offset bits select an
 int8 ±1 parity table over the 2^16 offsets, built on first use and cached,
-and its block bits fold into one ±1 per block.  Adding or subtracting each
-term's table in place gives omega of every model in the block, so every
-model is still evaluated.  The kernel returns the maximum with its lowest
+and its block bits fold into one ±1 per block.  The first block of a range
+sums every term's table, signed by the block number.  Each later block is
+derived from the block before it: only the terms whose block sign flips
+change, each by twice its table, and from one block to the next about two
+block-number bits flip, each in about two terms.  Every model's omega is
+still computed.  The kernel returns the maximum with its lowest
 attaining indices; every bound is a call of it.  Partitioned scans merge
 deterministically (global max, lowest witness index), so results are
 bit-identical for any worker count, and the process pool never gets more
@@ -321,24 +324,49 @@ def _term_tables(terms) -> list[tuple[int, np.ndarray, int]]:
     ]
 
 
+def _block_sign(start: int, high: int) -> int:
+    """The ±1 that a term's bits in the block number fold into."""
+    return 1 - 2 * ((start & high).bit_count() & 1)
+
+
 def _omega_blocks(layout: _Layout, variant: str, lo: int, hi: int):
     """Yield (first index, omega of the next models) block by block over
     model indices [lo, hi) under ``layout``; block ``start`` holds models
-    ``start + first`` to ``start + stop``."""
+    ``start + first`` to ``start + stop``.
+
+    A block that follows a whole block is that block's values plus or
+    minus twice the parity table of each term whose block sign flips, so
+    every model is still evaluated.  Each block is built out of place and
+    yielded read-only: it is never mutated afterwards, and the next block
+    is derived from it.
+    """
     terms = _term_tables(layout.chi if variant == "abs" else layout.chi + layout.s)
+    # Only a term with bits in the block number can change between blocks.
+    steps = [term for term in terms if term[2]]
     # Every deterministic correlator has |value| = 1, so S_abs = len(s).
     base = len(layout.s) if variant == "abs" else 0
     if lo >= hi:
         return
+    values = np.empty(0, dtype=np.int8)
     for start in range(lo - lo % _BLOCK, hi, _BLOCK):
         first, stop = max(lo - start, 0), min(hi - start, _BLOCK)
-        # |omega| <= 6 chi terms + 12 correlators = 18, so int8 cannot overflow.
-        values = np.full(stop - first, base, dtype=np.int8)
-        for sign, table, high in terms:
-            # The term's bits in the block number fold into one ±1.
-            high_sign = 1 - 2 * (bin(start & high).count("1") & 1)
-            accumulate = np.add if sign * high_sign > 0 else np.subtract
-            accumulate(values, table[first:stop], out=values)
+        if len(values) == _BLOCK:
+            values = values[:stop]  # a read-only view of the previous block
+            for sign, table, high in steps:
+                if _block_sign(start ^ (start - _BLOCK), high) < 0:
+                    update = np.add if sign * _block_sign(start, high) > 0 else np.subtract
+                    # The first update allocates the block; the rest write into it.
+                    # Applying the ±1 table twice keeps no doubled table in the cache.
+                    values = update(values, table[:stop],
+                                    out=values if values.flags.writeable else None)
+                    update(values, table[:stop], out=values)
+        else:
+            # |omega| <= 6 chi terms + 12 correlators = 18, so int8 cannot overflow.
+            values = np.full(stop - first, base, dtype=np.int8)
+            for sign, table, high in terms:
+                accumulate = np.add if sign * _block_sign(start, high) > 0 else np.subtract
+                accumulate(values, table[first:stop], out=values)
+        values.flags.writeable = False
         yield start + first, values
 
 
@@ -352,12 +380,16 @@ def _scan(layout: _Layout, variant: str, lo: int, hi: int, count: int = 1):
     """Max omega over model indices [lo, hi) and its ``count`` lowest
     attaining indices; an empty range gives (-inf, []), which never wins a
     merge."""
-    result = (-math.inf, [])
+    best, found = -math.inf, []
     for first, values in _omega_blocks(layout, variant, lo, hi):
-        best = int(values.max())
-        hits = np.flatnonzero(values == best)[:count] + first
-        result = _merge([result, (best, hits.tolist())], count)
-    return result
+        top = int(values.max())
+        # Blocks ascend, so a block can only displace the witnesses with a
+        # higher maximum, or append to them on a tie.
+        if top > best:
+            best, found = top, []
+        if top == best and len(found) < count:
+            found += (np.flatnonzero(values == top)[: count - len(found)] + first).tolist()
+    return best, found
 
 
 def local_omega_bound(

@@ -429,6 +429,58 @@ class TestBlockKernel:
         assert _scan(_CONSTRAINED, variant, lo, hi, count) == oracle_scan(
             _CONSTRAINED, variant, lo, hi, count)
 
+    @pytest.mark.parametrize("variant", ["signed", "abs"])
+    def test_all_relaxed_models_match_reference(self, variant):
+        # Every block after the first is derived from the one before it.
+        for first, values in _omega_blocks(_RELAXED, variant, 0, N_RELAXED_MODELS):
+            assert not values.flags.writeable
+            idx = np.arange(first, first + len(values), dtype=np.uint32)
+            assert np.array_equal(values, oracle_omega_values(idx, variant, _RELAXED))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(lo=st.integers(0, N_RELAXED_MODELS - 4 * _BLOCK),
+           cuts=st.lists(st.integers(0, 4 * _BLOCK), min_size=1, max_size=5),
+           variant=st.sampled_from(["signed", "abs"]), count=st.integers(1, 20))
+    def test_relaxed_partitions_match_reference(self, lo, cuts, variant, count):
+        # Each part builds its own first block, mostly from mid-block edges.
+        edges = sorted({lo} | {lo + cut for cut in cuts})
+        expected = oracle_scan(_RELAXED, variant, edges[0], edges[-1], count)
+        parts = [_scan(_RELAXED, variant, a, b, count) for a, b in zip(edges, edges[1:])]
+        assert _merge(parts, count) == expected
+        assert _scan(_RELAXED, variant, edges[0], edges[-1], count) == expected
+
+
+def omega_histogram(layout, variant, n_models) -> dict[int, int]:
+    """How many of the models [0, n_models) take each omega, one bincount
+    per block."""
+    counts = np.zeros(37, dtype=np.int64)
+    for _, values in _omega_blocks(layout, variant, 0, n_models):
+        counts += np.bincount(values + 18, minlength=37)
+    return {value - 18: int(n) for value, n in enumerate(counts) if n}
+
+
+class TestOmegaHistograms:
+    """Counts derived without the kernel: the constrained histograms from
+    the 512 leader and Bob cases convolved over the six sequences, and the
+    relaxed optimal-model counts in closed form (2^6 and 2^24 / 2^6).  A
+    kernel that mis-updates one block can keep the maximum, but not these."""
+
+    def test_constrained_signed(self):
+        assert omega_histogram(_CONSTRAINED, "signed", N_MODELS) == {
+            -16: 288, -12: 13_056, -8: 137_088, -4: 509_184, 0: 777_920,
+            4: 509_184, 8: 137_088, 12: 13_056, 16: 288}
+
+    def test_constrained_abs(self):
+        assert omega_histogram(_CONSTRAINED, "abs", N_MODELS) == {
+            6: 32_768, 8: 196_608, 10: 491_520, 12: 655_360,
+            14: 491_520, 16: 196_608, 18: 32_768}
+
+    @pytest.mark.parametrize("variant, optimal", [("signed", 64), ("abs", 262_144)])
+    def test_relaxed_optimal_counts(self, variant, optimal):
+        histogram = omega_histogram(_RELAXED, variant, N_RELAXED_MODELS)
+        assert max(histogram) == 18 and histogram[18] == optimal
+        assert sum(histogram.values()) == N_RELAXED_MODELS
+
 
 class TestGapReport:
     def test_gaps(self):
