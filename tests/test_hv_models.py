@@ -68,6 +68,15 @@ def omega_at(layout, variant, indices) -> list[int]:
     return [int(block_values(layout, variant, int(i), int(i) + 1)[0]) for i in indices]
 
 
+def omega_histogram(layout, variant, n_models) -> dict[int, int]:
+    """How many of the models [0, n_models) take each omega, one bincount
+    per block."""
+    counts = np.zeros(37, dtype=np.int64)
+    for _, values in _omega_blocks(layout, variant, 0, n_models):
+        counts += np.bincount(values + 18, minlength=37)
+    return {value - 18: int(n) for value, n in enumerate(counts) if n}
+
+
 def all_plus_model() -> HVModel:
     alice = {(seq, pos): 1 for seq in SEQUENCE_ORDER for pos in (1, 2, 3)}
     bob = {label: 1 for label in BOB_LABELS}
@@ -448,15 +457,6 @@ class TestBlockKernel:
         parts = [_scan(_RELAXED, variant, a, b, count) for a, b in zip(edges, edges[1:])]
         assert _merge(parts, count) == expected
         assert _scan(_RELAXED, variant, edges[0], edges[-1], count) == expected
-
-
-def omega_histogram(layout, variant, n_models) -> dict[int, int]:
-    """How many of the models [0, n_models) take each omega, one bincount
-    per block."""
-    counts = np.zeros(37, dtype=np.int64)
-    for _, values in _omega_blocks(layout, variant, 0, n_models):
-        counts += np.bincount(values + 18, minlength=37)
-    return {value - 18: int(n) for value, n in enumerate(counts) if n}
 
 
 class TestOmegaHistograms:
