@@ -23,21 +23,13 @@ from .observables import (
     STermSpec,
     mermin_square_check,
 )
-from .states import (
-    DensityState,
-    expectation,
-    four_qubit_state,
-    singlet_pair,
-    werner_pair,
-)
+from .states import DensityState, expectation, four_qubit_state
 from .sequences import (
     OutcomeDistribution,
     SequenceSpec,
     ShotRecord,
     bob_marginal,
-    conditional_pair_expectation,
     derive_seed,
-    product_expectation,
     sample,
     sample_outcomes,
     sequence_distribution,
@@ -79,11 +71,10 @@ __all__ = [
     "ALICE_LABELS", "BOB_LABELS", "CHI_SIGNS", "OBSERVABLES", "PAIR_SIGNS",
     "S_TERMS", "SEQUENCE_ORDER", "SEQUENCES", "STermSpec",
     "mermin_square_check",
-    "DensityState", "expectation", "four_qubit_state", "singlet_pair",
-    "werner_pair",
+    "DensityState", "expectation", "four_qubit_state",
     "OutcomeDistribution", "SequenceSpec", "ShotRecord", "bob_marginal",
-    "conditional_pair_expectation", "derive_seed", "product_expectation",
-    "sample", "sample_outcomes", "sequence_distribution", "uniform01",
+    "derive_seed", "sample", "sample_outcomes", "sequence_distribution",
+    "uniform01",
     "ChiTerms", "InequalityReport", "LOCAL_OMEGA_BOUND",
     "NONCONTEXTUAL_CHI_BOUND", "STerms", "SampledInequality",
     "estimate_inequality", "fidelity_from_visibility",

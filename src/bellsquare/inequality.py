@@ -22,7 +22,11 @@ reads all twelve, the same contraction that gives the outcome
 distributions of :mod:`bellsquare.sequences` to the finite-shot sampler.
 Each chi term is the identity coefficient of its sequence product,
 exactly ±1 for every state (compatible sequences have joint-measurement
-statistics: Gühne et al., PRA 81, 022121 (2010)).
+statistics: Gühne et al., PRA 81, 022121 (2010)).  ``omega`` is the only
+reader of the correlators and sequence products, and one private
+assembly sums chi, both S and both omega from the term maps, for
+``omega``, for the point estimates of ``estimate_inequality`` and so for
+every ``sweep`` row.
 
 For the noisy preparation the signed S value is the polynomial
 ``4V + 8V**2`` in the visibility V while chi stays pinned at 6, so the
@@ -130,6 +134,14 @@ _PAIR_OPERATORS = tuple(
 )
 
 
+def _report(chi_terms: dict[str, float], s_terms: dict[str, float]) -> InequalityReport:
+    """The report of six chi terms and twelve correlators, exact or
+    estimated: the one place where chi, both S and both omega are summed."""
+    chi_t, s_t = ChiTerms(chi_terms), STerms(s_terms)
+    chi, s_abs, s_signed = chi_t.chi, s_t.s_abs, s_t.s_signed
+    return InequalityReport(chi_t, s_t, chi, s_abs, s_signed, chi + s_abs, chi + s_signed)
+
+
 def omega(rho: DensityState) -> InequalityReport:
     """Full inequality report for a four-qubit state, both S variants.
 
@@ -152,28 +164,17 @@ def omega(rho: DensityState) -> InequalityReport:
     worst = float(np.max(np.abs(values.imag)))
     if worst > HERMITICITY_TOL:
         raise RuntimeError(f"correlator has imaginary part {worst}")
-    chi_terms = ChiTerms(terms=dict(_SEQUENCE_PHASES))
     pairs = dict(zip(PAIR_SIGNS, values.real.tolist()))
-    s_terms = STerms(terms={t.key: pairs[t.alice] for t in S_TERMS})
-    chi = chi_terms.chi
-    s_abs = s_terms.s_abs
-    s_signed = s_terms.s_signed
-    return InequalityReport(
-        chi_terms=chi_terms,
-        s_terms=s_terms,
-        chi=chi,
-        s_abs=s_abs,
-        s_signed=s_signed,
-        omega_abs=chi + s_abs,
-        omega_signed=chi + s_signed,
-    )
+    return _report(dict(_SEQUENCE_PHASES), {t.key: pairs[t.alice] for t in S_TERMS})
 
 
 def visibility_threshold(chi_expt: float) -> float:
     """Minimum visibility for violating the bound 16 at an observed chi.
 
     Returns ``(sqrt(33 - 2*chi_expt) - 1) / 4``, the positive root of
-    ``8V^2 + 4V + (chi_expt - 16) = 0``.
+    ``8V^2 + 4V + (chi_expt - 16) = 0``.  A violation needs V above it,
+    so a result of 1 or more (``chi_expt <= 4``) means that no visibility
+    violates the bound.
 
     Raises:
         ValueError: If ``chi_expt`` lies outside [-6, 6].
@@ -228,17 +229,8 @@ def sweep(v_grid) -> SweepResult:
 
     rows = []
     for v in grid:
-        report = omega(four_qubit_state(v))
-        rows.append(
-            SweepRow(
-                visibility=v,
-                chi=report.chi,
-                s_abs=report.s_abs,
-                s_signed=report.s_signed,
-                omega_abs=report.omega_abs,
-                omega_signed=report.omega_signed,
-            )
-        )
+        r = omega(four_qubit_state(v))
+        rows.append(SweepRow(v, r.chi, r.s_abs, r.s_signed, r.omega_abs, r.omega_signed))
 
     bracket = None
     for prev, curr in zip(rows, rows[1:]):
@@ -362,19 +354,18 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
         name: _term_estimate(name, exact.chi_terms.terms[name], sum(totals), shots * len(totals))
         for name, totals in pooled.items()
     }
-    chi = ChiTerms({k: t.estimate for k, t in chi_estimates.items()}).chi
-    s_terms = STerms({k: t.estimate for k, t in s_estimates.items()})
-    s_abs, s_signed = s_terms.s_abs, s_terms.s_signed
+    point = _report({k: t.estimate for k, t in chi_estimates.items()},
+                    {k: t.estimate for k, t in s_estimates.items()})
     return SampledInequality(
         visibility=float(visibility),
         shots_per_setting=shots,
         seed=seed,
         chi_terms=chi_estimates,
         s_terms=s_estimates,
-        chi=chi,
-        s_abs=s_abs,
-        s_signed=s_signed,
-        omega_abs=chi + s_abs,
-        omega_signed=chi + s_signed,
+        chi=point.chi,
+        s_abs=point.s_abs,
+        s_signed=point.s_signed,
+        omega_abs=point.omega_abs,
+        omega_signed=point.omega_signed,
         exact=exact,
     )

@@ -10,9 +10,10 @@ of the k = 3 (or 4, with Bob) ±1 outcomes is
 p(o) = tr(Π_i (I + o_i P_i)/2 · ρ).  Multiplied out, this is the Fourier
 expansion p(o) = 2^-k Σ_T (Π_{i∈T} o_i) · tr(ρ · Π_{i∈T} P_i) over the
 subsets T of the setting: one contraction reads its 2^k Pauli
-expectations, with no sampling.  The sampler exists only to emulate a
-finite-shot experiment and draws whole outcome tuples from the exact
-joint distribution by inverse CDF.
+expectations, with no sampling.  The distributions serve the sampler,
+which emulates a finite-shot experiment by drawing whole outcome tuples
+by inverse CDF, and Bob's no-signalling marginal (``bob_marginal``); the
+exact chi terms and correlators are read by ``inequality.omega`` alone.
 
 Reproducibility contract: randomness comes from a SplitMix64 counter
 stream.  Draw ``i`` (0-based) of the stream with seed ``s`` is::
@@ -152,30 +153,6 @@ def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistr
     probabilities = characters @ _pauli_expectations(rho, strings).real
     entries = {o: p for o, p in zip(outcomes, probabilities.tolist()) if p >= ZERO_PROBABILITY_TOL}
     return OutcomeDistribution(spec=spec, entries=entries)
-
-
-def product_expectation(dist: OutcomeDistribution) -> float:
-    """Expectation of the product of the three Alice outcomes."""
-    value = sum(p * (o[0] * o[1] * o[2]) for o, p in dist.entries.items())
-    return float(value)
-
-
-def conditional_pair_expectation(dist: OutcomeDistribution, alice_position: int) -> float:
-    """Expectation of (Alice outcome at ``alice_position``) x (Bob outcome).
-
-    Args:
-        dist: Distribution from a spec that included a Bob observable.
-        alice_position: 1-based slot within the Alice sequence.
-
-    Raises:
-        ValueError: If the spec had no Bob observable or the position is
-            not 1, 2 or 3.
-    """
-    if dist.spec.bob is None:
-        raise ValueError("distribution was built without a Bob observable")
-    alice_position = _checked_int("alice_position", alice_position, 1, 4)
-    value = sum(p * (o[alice_position - 1] * o[3]) for o, p in dist.entries.items())
-    return float(value)
 
 
 def bob_marginal(dist: OutcomeDistribution) -> dict[int, float]:

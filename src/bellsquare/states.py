@@ -1,10 +1,12 @@
 """Dense density-operator engine for small qubit registers.
 
-Builds the ideal four-qubit preparation (singlets pairing qubits 1-3 and
-2-4) with optional per-pair white noise, and reads expectation values of
-Pauli strings from it, each batch in one contraction against a cached
-stack of their matrices.  Every returned state is validated: finite entries,
-unit trace, Hermitian, positive semidefinite within fixed tolerances.
+``four_qubit_state`` is the one state builder: the preparation of
+singlets pairing qubits 1-3 and 2-4, each pair mixed with white noise,
+V·|ψ⁻⟩⟨ψ⁻| + (1 − V)·𝟙/4.  Expectation values of Pauli strings are read
+from a state in one contraction per batch against a cached stack of their
+matrices.  Every ``DensityState`` is validated once, on construction:
+finite entries, unit trace, Hermitian, positive semidefinite within fixed
+tolerances.
 
 States are immutable; the backing arrays are marked read-only.
 """
@@ -71,28 +73,29 @@ def _check_visibility(visibility: float) -> float:
     return v
 
 
-def singlet_pair() -> DensityState:
-    """Two-qubit singlet (|01> - |10>) / sqrt(2) as a pure density operator."""
+def _singlet() -> np.ndarray:
+    """Read-only |ψ⁻⟩⟨ψ⁻| of the two-qubit singlet (|01> - |10>) / sqrt(2)."""
     vec = np.zeros(4, dtype=complex)
     vec[0b01] = 1 / np.sqrt(2)
     vec[0b10] = -1 / np.sqrt(2)
-    return DensityState(np.outer(vec, vec.conj()))
+    matrix = np.outer(vec, vec.conj())
+    matrix.flags.writeable = False
+    return matrix
 
 
-def werner_pair(visibility: float) -> DensityState:
-    """Singlet mixed with white noise: V * singlet + (1 - V) * I/4."""
-    v = _check_visibility(visibility)
-    mixed = np.eye(4, dtype=complex) / 4
-    return DensityState(v * singlet_pair().matrix + (1 - v) * mixed)
+_SINGLET = _singlet()
 
 
 def four_qubit_state(visibility: float = 1.0) -> DensityState:
     """The four-qubit preparation: noisy singlets on pairs (1,3) and (2,4).
 
-    Noise is applied independently per pair; at visibility 1 this is the
-    pure state singlet(1,3) ⊗ singlet(2,4) reordered to qubits (1,2,3,4).
+    Each pair is V·|ψ⁻⟩⟨ψ⁻| + (1 − V)·𝟙/4, noise applied independently per
+    pair; at visibility 1 this is the pure state singlet(1,3) ⊗ singlet(2,4)
+    reordered to qubits (1,2,3,4).  Only the returned 16×16 state is
+    validated.
     """
-    pair = werner_pair(visibility).matrix
+    v = _check_visibility(visibility)
+    pair = v * _SINGLET + (1 - v) * (np.eye(4, dtype=complex) / 4)
     stacked = np.kron(pair, pair)  # qubit layout (1,3,2,4)
     return DensityState(_reorder_qubits(stacked, (0, 2, 1, 3)))
 

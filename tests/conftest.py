@@ -6,6 +6,9 @@ results are checked against a second, independent route;
 ``oracle_omega_via_distributions`` reaches omega through the projector
 sandwiches of ``oracle_sequential_distribution``, since the library's
 ``omega`` and ``sequence_distribution`` share one contraction.  The
+hidden-variable kernel's histograms are checked against
+``oracle_parity_cases`` and ``oracle_model_histogram``, which read only the
+``observables`` tables and never enumerate a model index.  The
 exceptions read library results: ``oracle_sampled_inequality`` keeps
 every shot from the library's
 ``sample_outcomes``, the per-shot route that the count-based estimator
@@ -13,6 +16,10 @@ must reproduce bit for bit, and ``oracle_sample_records`` builds shot
 records from those rows one tuple per row, the route ``sample`` must
 reproduce.
 """
+
+from collections import Counter
+from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,6 +37,7 @@ from bellsquare import (
     sample_outcomes,
     sequence_distribution,
 )
+from bellsquare.observables import BOB_LABELS, SEQUENCE_LEADERS
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,6 +177,70 @@ def oracle_scan(layout, variant: str, lo: int, hi: int, count: int):
         return float("-inf"), []
     best = int(values.max())
     return best, (np.flatnonzero(values == best)[:count] + lo).tolist()
+
+
+@cache
+def oracle_parity_cases(variant: str, relaxed: bool = False) -> tuple:
+    """What each sequence can reach, case by case, in the local models.
+
+    A model's omega is a sum over the six sequences, and each sequence's
+    chi term and correlators read only its own three slots and Bob's
+    values.  Fixing the values that sequences share (the three leaders and
+    the six Bob values; only the Bob values when ``relaxed`` lets each
+    sequence pick its own leader) leaves each sequence free over its own
+    slots, independently of the others.  Returns one ``(leaders, bob,
+    reach)`` per case, where ``reach[name]`` counts the values that
+    sequence's terms sum to over its free slot choices."""
+    cases = []
+    leader_cases = [{}] if relaxed else [
+        dict(zip(SEQUENCE_LEADERS, values))
+        for values in product((1, -1), repeat=len(SEQUENCE_LEADERS))]
+    for leaders in leader_cases:
+        for bob_values in product((1, -1), repeat=len(BOB_LABELS)):
+            bob = dict(zip(BOB_LABELS, bob_values))
+            reach = {}
+            for name in SEQUENCE_ORDER:
+                trio = SEQUENCES[name]
+                fixed = () if relaxed else (leaders[trio[0]],)
+                reach[name] = Counter()
+                for free in product((1, -1), repeat=3 - len(fixed)):
+                    slot = fixed + free
+                    value = CHI_SIGNS[name] * slot[0] * slot[1] * slot[2]
+                    for t in S_TERMS:
+                        if t.sequence == name:
+                            term = t.sign * slot[t.position - 1] * bob[t.bob]
+                            value += term if variant == "signed" else abs(term)
+                    reach[name][value] += 1
+            cases.append((leaders, bob, reach))
+    return tuple(cases)
+
+
+def oracle_consistency(name: str, leaders: dict, bob: dict) -> int:
+    """c · f · Π sign·p over the sequence's correlators: +1 when its chi
+    term and both correlators can all be +1 together, -1 (frustrated) when
+    they cannot."""
+    sign = CHI_SIGNS[name] * leaders[SEQUENCES[name][0]]
+    for t in S_TERMS:
+        if t.sequence == name:
+            sign *= t.sign * bob[t.bob]
+    return sign
+
+
+@cache
+def oracle_model_histogram(variant: str, relaxed: bool = False) -> dict[int, int]:
+    """How many local models take each omega: per case, the convolution of
+    the six sequences' ``reach`` counters, summed over the cases."""
+    total = Counter()
+    for _, _, reach in oracle_parity_cases(variant, relaxed):
+        case = Counter({0: 1})
+        for counts in reach.values():
+            grown = Counter()
+            for a, m in case.items():
+                for b, n in counts.items():
+                    grown[a + b] += m * n
+            case = grown
+        total.update(case)
+    return dict(total)
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

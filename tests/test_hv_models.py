@@ -1,6 +1,8 @@
 """Tests for the hidden-variable model enumeration and bounds."""
 
+import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bellsquare import (
     BOB_LABELS,
+    CHI_SIGNS,
     HVModel,
     NoncontextualAssignment,
     SEQUENCE_ORDER,
@@ -36,7 +39,13 @@ from bellsquare.hv_models import (
     _omega_blocks,
     _scan,
 )
-from conftest import oracle_omega_values, oracle_scan
+from conftest import (
+    oracle_consistency,
+    oracle_model_histogram,
+    oracle_omega_values,
+    oracle_parity_cases,
+    oracle_scan,
+)
 
 ALICE_ORDER = ("A", "B", "C", "a", "b", "c", "α", "β", "γ")
 FIRST_MEASUREMENT_ORDER = ("A", "b", "γ", "B'", "C'", "a'", "c'", "α'", "β'")
@@ -131,7 +140,7 @@ class TestContextFreeBounds:
     def test_brute_force_oracle(self):
         # Independent pure-Python maximization over all 512 assignments.
         from itertools import product
-        from bellsquare import CHI_SIGNS, SEQUENCES
+        from bellsquare import SEQUENCES
         labels = ("A", "B", "C", "a", "b", "c", "α", "β", "γ")
         best = -99
         for bits in product((1, -1), repeat=9):
@@ -460,26 +469,79 @@ class TestBlockKernel:
 
 
 class TestOmegaHistograms:
-    """Counts derived without the kernel: the constrained histograms from
-    the 512 leader and Bob cases convolved over the six sequences, and the
-    relaxed optimal-model counts in closed form (2^6 and 2^24 / 2^6).  A
-    kernel that mis-updates one block can keep the maximum, but not these."""
+    """The kernel's histograms against ``oracle_model_histogram``, which
+    convolves what each sequence reaches in each leader and Bob case and
+    never enumerates a model index, and the optimal-model counts in closed
+    form.  A kernel that mis-updates one block can keep the maximum, but
+    not these."""
 
     def test_constrained_signed(self):
-        assert omega_histogram(_CONSTRAINED, "signed", N_MODELS) == {
-            -16: 288, -12: 13_056, -8: 137_088, -4: 509_184, 0: 777_920,
-            4: 509_184, 8: 137_088, 12: 13_056, 16: 288}
+        histogram = omega_histogram(_CONSTRAINED, "signed", N_MODELS)
+        assert histogram == oracle_model_histogram("signed")
+        # One frustrated sequence in 96 cases, at 1 by 3 of its 4 slot choices.
+        assert max(histogram) == 16 and histogram[16] == 96 * 3
 
     def test_constrained_abs(self):
-        assert omega_histogram(_CONSTRAINED, "abs", N_MODELS) == {
-            6: 32_768, 8: 196_608, 10: 491_520, 12: 655_360,
-            14: 491_520, 16: 196_608, 18: 32_768}
+        histogram = omega_histogram(_CONSTRAINED, "abs", N_MODELS)
+        assert histogram == oracle_model_histogram("abs")
+        # S_abs = 12 always, and chi = 6 fixes each sequence's last slot.
+        assert max(histogram) == 18
+        assert histogram[18] == N_MODELS // 2 ** len(SEQUENCE_ORDER) == 32_768
 
-    @pytest.mark.parametrize("variant, optimal", [("signed", 64), ("abs", 262_144)])
+    # Relaxed signed: with no parity rule the Bob values fix every slot.
+    # Relaxed abs: chi = 6 fixes each sequence's last slot.
+    @pytest.mark.parametrize("variant, optimal", [
+        ("signed", 2 ** len(BOB_LABELS)),
+        ("abs", N_RELAXED_MODELS // 2 ** len(SEQUENCE_ORDER)),
+    ])
     def test_relaxed_optimal_counts(self, variant, optimal):
         histogram = omega_histogram(_RELAXED, variant, N_RELAXED_MODELS)
+        assert histogram == oracle_model_histogram(variant, relaxed=True)
         assert max(histogram) == 18 and histogram[18] == optimal
         assert sum(histogram.values()) == N_RELAXED_MODELS
+
+
+class TestParityCertificate:
+    """Why the signed bound is 16.  In each of the 512 leader and Bob
+    cases a sequence reaches 3 when its consistency sign is +1 and at most
+    1 when it is frustrated.  Each leader, Bob value and pair sign appears
+    in two sequences, so the six consistency signs multiply to the product
+    of the chi signs, -1 (the Peres-Mermin parity): an odd number of
+    sequences is frustrated in every case."""
+
+    def test_frustration_histogram(self):
+        frustrated = Counter()
+        for leaders, bob, reach in oracle_parity_cases("signed"):
+            signs = [oracle_consistency(name, leaders, bob) for name in SEQUENCE_ORDER]
+            assert math.prod(signs) == math.prod(CHI_SIGNS.values()) == -1
+            for name, sign in zip(SEQUENCE_ORDER, signs):
+                top = max(reach[name])
+                assert (top, reach[name][top]) == ((3, 1) if sign == 1 else (1, 3))
+            frustrated[signs.count(-1)] += 1
+        assert frustrated == {1: 96, 3: 320, 5: 96}
+
+    def test_maximum_and_optimal_models(self):
+        optimal = Counter()
+        for _, _, reach in oracle_parity_cases("signed"):
+            top = sum(max(counts) for counts in reach.values())
+            optimal[top] += math.prod(counts[max(counts)] for counts in reach.values())
+        assert max(optimal) == 16 == local_omega_bound("signed").max_value
+        assert optimal[16] == 96 * 3 == 288
+
+
+class TestPartMaxima:
+    """Each part of omega alone reaches its quantum value in a local model:
+    the same kernel on the chi terms only and on the correlators only,
+    with the lowest witness of each read back through ``evaluate_model``."""
+
+    @pytest.mark.parametrize("part, layout, best, witness", [
+        ("chi", _CONSTRAINED._replace(s=()), 6, 132),
+        ("s_signed", _CONSTRAINED._replace(chi=()), 12, 2600),
+        ("omega_signed", _CONSTRAINED, 16, 2603),
+    ], ids=["chi", "s_signed", "omega_signed"])
+    def test_part_maximum(self, part, layout, best, witness):
+        assert _scan(layout, "signed", 0, N_MODELS) == (best, [witness])
+        assert getattr(evaluate_model(decode_model(witness)), part) == best
 
 
 class TestGapReport:

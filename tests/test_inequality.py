@@ -30,7 +30,6 @@ from bellsquare import (
     pauli_product,
     sweep,
     visibility_threshold,
-    werner_pair,
 )
 
 from conftest import (
@@ -132,7 +131,7 @@ class TestOmega:
         assert report.omega_signed == pytest.approx(want["omega_signed"], abs=1e-12)
 
     def test_rejects_state_not_on_four_qubits(self):
-        rho = werner_pair(0.5)
+        rho = DensityState(np.eye(4) / 4)
         with pytest.raises(ValueError, match="sequences are defined on 4 qubits"):
             omega(rho)
 
@@ -197,6 +196,23 @@ class TestQuantumMaximum:
         # Top eigenvalue 12 on the ideal state ψ, at most 4 elsewhere:
         # ω_signed ≤ 6 + 12F + 4(1 − F) with F = ⟨ψ|ρ|ψ⟩.
         rho = seeded_state(kind, param)
+        fidelity = np.real(np.trace(rho.matrix @ ideal_state.matrix))
+        assert omega(rho).omega_signed <= 10 + 8 * fidelity + 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["full_rank", "pure"]), seed=st.integers(0, 2**32 - 1),
+           weight=st.floats(0.0, 1.0))
+    def test_fidelity_bound_on_drawn_states(self, ideal_state, kind, seed, weight):
+        # The ideal state ψ mixed with a full-rank state, or superposed with
+        # a pure one, so that the drawn fidelities span [0, 1].
+        other = seeded_state(kind, seed).matrix
+        if kind == "full_rank":
+            rho = DensityState(weight * ideal_state.matrix + (1 - weight) * other)
+        else:
+            psi = np.linalg.eigh(ideal_state.matrix)[1][:, -1]
+            phi = np.linalg.eigh(other)[1][:, -1]
+            vec = math.sqrt(weight) * psi + math.sqrt(1 - weight) * phi
+            rho = DensityState(np.outer(vec, vec.conj()) / np.vdot(vec, vec).real)
         fidelity = np.real(np.trace(rho.matrix @ ideal_state.matrix))
         assert omega(rho).omega_signed <= 10 + 8 * fidelity + 1e-9
 

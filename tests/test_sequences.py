@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bellsquare import (
     BOB_LABELS,
+    DensityState,
     OutcomeDistribution,
     S_TERMS,
     SEQUENCE_ORDER,
@@ -18,12 +19,11 @@ from bellsquare import (
     ShotRecord,
     bob_marginal,
     commutes,
-    conditional_pair_expectation,
     derive_seed,
     expectation,
     four_qubit_state,
     OBSERVABLES,
-    product_expectation,
+    omega,
     sample,
     sample_outcomes,
     sequence_distribution,
@@ -109,9 +109,8 @@ class TestSequenceDistribution:
             assert prob == pytest.approx(0.25, abs=1e-12)
 
     def test_requires_four_qubits(self):
-        from bellsquare import singlet_pair
-        with pytest.raises(ValueError):
-            sequence_distribution(singlet_pair(), SequenceSpec("ABC"))
+        with pytest.raises(ValueError, match="4 qubits"):
+            sequence_distribution(DensityState(np.eye(4) / 4), SequenceSpec("ABC"))
 
     @pytest.mark.parametrize(
         "kind, param",
@@ -146,48 +145,35 @@ class TestSequenceDistribution:
                         assert commutes(p, q), (spec, p.label, q.label)
 
 
-class TestExpectations:
-    def test_product_expectation_deterministic(self):
-        dist = OutcomeDistribution(
-            SequenceSpec("ABC"), {(1, 1, 1): 0.5, (1, -1, -1): 0.5}
-        )
-        assert product_expectation(dist) == 1.0
+def pair_mean(dist: OutcomeDistribution, position: int) -> float:
+    """Mean of (Alice outcome at a 1-based position) x (Bob outcome)."""
+    return sum(p * o[position - 1] * o[3] for o, p in dist.entries.items())
 
-    def test_product_expectation_uniform(self):
-        entries = {}
-        for o1 in (1, -1):
-            for o2 in (1, -1):
-                for o3 in (1, -1):
-                    entries[o1, o2, o3] = 0.125
-        dist = OutcomeDistribution(SequenceSpec("ABC"), entries)
-        assert product_expectation(dist) == pytest.approx(0.0, abs=1e-15)
+
+class TestExpectations:
+    """Products and correlators read from the distributions agree with the
+    terms ``omega`` reads from Pauli expectations."""
 
     def test_bBb_product(self, ideal_state):
         dist = sequence_distribution(ideal_state, SequenceSpec("bBβ"))
-        assert product_expectation(dist) == pytest.approx(1.0, abs=1e-10)
+        assert sum(p * o[0] * o[1] * o[2] for o, p in dist.entries.items()) == pytest.approx(
+            1.0, abs=1e-10)
+        assert omega(ideal_state).chi_terms.terms["bBβ"] == 1.0
 
     def test_conditional_bb(self, ideal_state):
         dist = sequence_distribution(ideal_state, SequenceSpec("ABC", "B'"))
-        assert conditional_pair_expectation(dist, 2) == pytest.approx(-1.0, abs=1e-10)
+        assert pair_mean(dist, 2) == pytest.approx(-1.0, abs=1e-10)
+        assert omega(ideal_state).s_terms.terms["BB'|ABC"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_conditional_cc_in_gamma_c_C(self, ideal_state):
         dist = sequence_distribution(ideal_state, SequenceSpec("γcC", "C'"))
-        assert conditional_pair_expectation(dist, 3) == pytest.approx(1.0, abs=1e-10)
+        assert pair_mean(dist, 3) == pytest.approx(1.0, abs=1e-10)
+        assert omega(ideal_state).s_terms.terms["CC'|γcC"] == pytest.approx(1.0, abs=1e-12)
 
     def test_conditional_vanishes_mixed(self, mixed_state):
         dist = sequence_distribution(mixed_state, SequenceSpec("ABC", "B'"))
-        assert conditional_pair_expectation(dist, 2) == pytest.approx(0.0, abs=1e-12)
-
-    def test_conditional_requires_bob(self, ideal_state):
-        dist = sequence_distribution(ideal_state, SequenceSpec("ABC"))
-        with pytest.raises(ValueError, match="Bob"):
-            conditional_pair_expectation(dist, 2)
-
-    def test_conditional_position_validated(self, ideal_state):
-        dist = sequence_distribution(ideal_state, SequenceSpec("ABC", "B'"))
-        for bad in (4, 0, 2.0, True):
-            with pytest.raises(ValueError, match="alice_position"):
-                conditional_pair_expectation(dist, bad)
+        assert pair_mean(dist, 2) == pytest.approx(0.0, abs=1e-12)
+        assert omega(mixed_state).s_terms.terms["BB'|ABC"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestNoSignaling:
@@ -208,6 +194,11 @@ class TestNoSignaling:
             for marginal in marginals[1:]:
                 assert marginal[1] == pytest.approx(reference[1], abs=1e-10)
                 assert marginal[-1] == pytest.approx(reference[-1], abs=1e-10)
+
+    def test_bob_marginal_requires_bob(self, ideal_state):
+        dist = sequence_distribution(ideal_state, SequenceSpec("ABC"))
+        with pytest.raises(ValueError, match="Bob"):
+            bob_marginal(dist)
 
 
 class TestPositionMarginals:
@@ -391,12 +382,11 @@ class TestSampler:
 
     def test_empirical_correlator_within_five_sigma(self):
         rho = four_qubit_state(0.8)
-        spec = SequenceSpec("ABC", "B'")
-        dist = sequence_distribution(rho, spec)
+        dist = sequence_distribution(rho, SequenceSpec("ABC", "B'"))
         shots = 100_000
         outs = sample_outcomes(dist, shots, seed=21)
         estimate = float((outs[:, 1] * outs[:, 3]).mean())
-        exact = conditional_pair_expectation(dist, 2)
+        exact = omega(rho).s_terms.terms["BB'|ABC"]
         sigma = math.sqrt((1 - exact**2) / shots)
         assert abs(estimate - exact) <= 5 * sigma
 

@@ -12,8 +12,6 @@ from bellsquare import (
     expectation,
     four_qubit_state,
     pauli_mul,
-    singlet_pair,
-    werner_pair,
 )
 
 from conftest import oracle_matrix
@@ -47,8 +45,8 @@ class TestDensityState:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (0, 1), (2, 1)])
     def test_rejects_non_finite_entry(self, value, entry):
-        # One bad entry in a valid Werner pair; the check runs before eigvalsh.
-        m = np.array(werner_pair(0.5).matrix)
+        # One bad entry in a valid state; the check runs before eigvalsh.
+        m = np.array(four_qubit_state(0.5).matrix)
         m[entry] = value
         with pytest.raises(ValueError, match="non-finite"):
             DensityState(m)
@@ -58,49 +56,110 @@ class TestDensityState:
             DensityState(np.full((16, 16), np.nan))
 
     def test_matrix_is_frozen(self):
-        state = singlet_pair()
+        state = four_qubit_state(1.0)
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 1.0
 
     def test_n_qubits_derived(self):
-        assert singlet_pair().n_qubits == 2
+        assert DensityState(np.eye(4) / 4).n_qubits == 2
         assert four_qubit_state(0.5).n_qubits == 4
 
 
+# Each singlet sits on two of the four qubits (0-based positions).
+PAIRS = ((0, 2), (1, 3))
+
+
+def pair_label(letters: str, pair: tuple[int, int]) -> str:
+    """Four-qubit label with ``letters`` on the pair's two qubits, I elsewhere."""
+    label = ["I"] * 4
+    for qubit, letter in zip(pair, letters):
+        label[qubit] = letter
+    return "".join(label)
+
+
+def reduced_pair(matrix: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Partial trace of a four-qubit matrix onto the pair's two qubits."""
+    rest = [q for q in range(4) if q not in pair]
+    t = matrix.reshape((2,) * 8).transpose([*pair, *rest, *(q + 4 for q in pair),
+                                           *(q + 4 for q in rest)])
+    return np.einsum("abijcdij->abcd", t).reshape(4, 4)
+
+
+def oracle_werner(v: float) -> np.ndarray:
+    """V·|ψ⁻⟩⟨ψ⁻| + (1 − V)·𝟙/4 from the singlet vector (|01> − |10>)/√2."""
+    psi = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    return v * np.outer(psi, psi) + (1 - v) * np.eye(4) / 4
+
+
 class TestSinglet:
+    """Both pairs of the ideal state, (1,3) and (2,4), are singlets."""
+
     @pytest.mark.parametrize("letters", ["ZZ", "XX", "YY"])
-    def test_perfect_anticorrelation(self, letters):
-        rho = singlet_pair()
-        assert expectation(rho, PauliString.from_label(letters)) == pytest.approx(-1, abs=1e-12)
+    def test_perfect_anticorrelation(self, ideal_state, letters):
+        for pair in PAIRS:
+            got = expectation(ideal_state, PauliString.from_label(pair_label(letters, pair)))
+            assert got == pytest.approx(-1, abs=1e-12)
 
-    def test_marginal_is_mixed(self):
-        rho = singlet_pair()
-        assert expectation(rho, PauliString.from_label("ZI")) == pytest.approx(0, abs=1e-12)
+    def test_marginal_is_mixed(self, ideal_state):
+        for qubit in range(4):
+            for letter in "XYZ":
+                label = pair_label(letter, (qubit,))
+                assert expectation(ideal_state, PauliString.from_label(label)) == pytest.approx(
+                    0, abs=1e-12)
 
-    def test_purity(self):
-        m = singlet_pair().matrix
+    def test_purity(self, ideal_state):
+        m = ideal_state.matrix
         assert np.real(np.trace(m @ m)) == pytest.approx(1, abs=1e-12)
+        for pair in PAIRS:
+            reduced = reduced_pair(m, pair)
+            assert np.real(np.trace(reduced @ reduced)) == pytest.approx(1, abs=1e-12)
 
 
 class TestWernerPair:
-    def test_v1_is_singlet(self):
-        assert np.allclose(werner_pair(1.0).matrix, singlet_pair().matrix, atol=1e-15)
+    """Each pair of ``four_qubit_state(V)`` reduces to V·|ψ⁻⟩⟨ψ⁻| + (1 − V)·𝟙/4."""
 
-    def test_v0_is_maximally_mixed(self):
-        assert np.allclose(werner_pair(0.0).matrix, np.eye(4) / 4, atol=1e-15)
+    def test_v1_is_singlet(self, ideal_state):
+        for pair in PAIRS:
+            assert np.allclose(reduced_pair(ideal_state.matrix, pair), oracle_werner(1.0),
+                               atol=1e-15)
+
+    def test_v0_is_maximally_mixed(self, mixed_state):
+        for pair in PAIRS:
+            assert np.allclose(reduced_pair(mixed_state.matrix, pair), np.eye(4) / 4, atol=1e-15)
+
+    @pytest.mark.parametrize("v", [0.37, 0.9])
+    def test_reduced_pair_is_werner(self, v):
+        m = four_qubit_state(v).matrix
+        for pair in PAIRS:
+            assert np.allclose(reduced_pair(m, pair), oracle_werner(v), atol=1e-15)
 
     def test_half_visibility_zz(self):
         # Independent oracle: linearity of the trace in the mixture.
         zz = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
-        expected = 0.5 * np.trace(singlet_pair().matrix @ zz) + 0.5 * np.trace(zz) / 4
+        expected = 0.5 * np.trace(oracle_werner(1.0) @ zz) + 0.5 * np.trace(zz) / 4
         assert expected.real == pytest.approx(-0.5, abs=1e-12)
-        got = expectation(werner_pair(0.5), PauliString.from_label("ZZ"))
-        assert got == pytest.approx(-0.5, abs=1e-12)
+        rho = four_qubit_state(0.5)
+        for pair in PAIRS:
+            got = expectation(rho, PauliString.from_label(pair_label("ZZ", pair)))
+            assert got == pytest.approx(-0.5, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
     def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            werner_pair(bad)
+        with pytest.raises(ValueError, match="visibility"):
+            four_qubit_state(bad)
+
+    def test_validates_once(self, monkeypatch):
+        # Only the returned 16×16 state is validated, not a pair on the way.
+        calls = []
+        validate = DensityState.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(DensityState, "__post_init__", counting)
+        assert four_qubit_state(0.9).n_qubits == 4
+        assert len(calls) == 1
 
 
 class TestFourQubitState:
@@ -156,7 +215,7 @@ class TestExpectation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            expectation(singlet_pair(), OBSERVABLES["A"])
+            expectation(DensityState(np.eye(4) / 4), OBSERVABLES["A"])
 
     def test_result_in_range(self, ideal_state):
         for obs in OBSERVABLES.values():
@@ -166,7 +225,7 @@ class TestExpectation:
 def test_four_qubit_state_matches_oracle_construction():
     # Independent route: permute explicit kron of two pair states.
     for v in (0.0, 0.4, 1.0):
-        pair = werner_pair(v).matrix
+        pair = oracle_werner(v)
         big = np.kron(pair, pair).reshape([2] * 8)
         big = big.transpose([0, 2, 1, 3, 4, 6, 5, 7]).reshape(16, 16)
         assert np.allclose(four_qubit_state(v).matrix, big, atol=1e-14)
