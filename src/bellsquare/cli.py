@@ -48,7 +48,7 @@ from .inequality import (
     sweep,
     visibility_threshold,
 )
-from .observables import OBSERVABLES, SEQUENCE_ORDER
+from .observables import CHI_SIGNS, OBSERVABLES, SEQUENCE_ORDER
 from .states import four_qubit_state
 
 OUTPUT_DIR_ENV = "BELLSQUARE_OUT"
@@ -62,6 +62,11 @@ CHI_CONSTANCY_TOL = 1e-9
 # Largest sweep grid, the point count of 0:1:1e-5; checked before the grid
 # is built, so a tiny step cannot fill memory.
 MAX_GRID_POINTS = 100_001
+
+
+# The inequality values of a report, in the order that the witness, sample
+# and CSV payloads list them.
+_VALUES = ("chi", "s_abs", "s_signed", "omega_abs", "omega_signed")
 
 
 def _round12(x: float) -> float:
@@ -82,10 +87,11 @@ def _jsonable(value):
 
 
 def _model_payload(model: HVModel) -> dict:
+    report = evaluate_model(model)
     return {
         "alice": {seq: [model.alice[seq, p] for p in (1, 2, 3)] for seq in SEQUENCE_ORDER},
         "bob": dict(model.bob),
-        **asdict(evaluate_model(model)),
+        **{name: getattr(report, name) for name in _VALUES},
     }
 
 
@@ -108,9 +114,9 @@ def cmd_identities(args) -> tuple[dict, bool]:
     from .observables import mermin_square_check
 
     check = mermin_square_check()
-    expected = {name: (-1 if name == "γcC" else 1) for name in SEQUENCE_ORDER}
+    # Each product must carry its chi sign, so that every chi term is +1.
     passed = (
-        check.products == expected
+        check.products == CHI_SIGNS
         and check.max_matrix_deviation <= IDENTITY_MATRIX_TOL
         and check.chi_combination == 6.0
     )
@@ -125,9 +131,10 @@ def cmd_identities(args) -> tuple[dict, bool]:
 
 
 def cmd_quantum(args) -> tuple[dict, bool]:
-    report = omega(four_qubit_state(args.visibility))
+    v = args.visibility
+    report = omega(four_qubit_state(v))
     results = {
-        "visibility": args.visibility,
+        "visibility": v,
         "chi_terms": dict(report.chi_terms.terms),
         "s_terms": dict(report.s_terms.terms),
         "chi": report.chi,
@@ -141,11 +148,14 @@ def cmd_quantum(args) -> tuple[dict, bool]:
         "omega_signed": report.omega_signed,
         "violated_signed": report.violated_signed,
     }
-    consistent = (
-        abs(report.omega_abs - report.chi - report.s_abs) < 1e-12
-        and abs(report.omega_signed - report.chi - report.s_signed) < 1e-12
+    # Every correlator of this family is 0 or carries its ideal sign, so
+    # both variants equal the paper's closed form (the engine is within
+    # 1.1e-14 of it on [0, 1]).
+    closed_form = 6.0 + 4.0 * v + 8.0 * v * v
+    passed = report.chi == 6.0 and all(
+        abs(value - closed_form) <= 1e-12 for value in (report.omega_signed, report.omega_abs)
     )
-    return results, consistent
+    return results, passed
 
 
 def cmd_sample(args) -> tuple[dict, bool]:
@@ -166,11 +176,7 @@ def cmd_sample(args) -> tuple[dict, bool]:
         "seed": estimate.seed,
         "chi_terms": {k: term_entry(t) for k, t in estimate.chi_terms.items()},
         "s_terms": {k: term_entry(t) for k, t in estimate.s_terms.items()},
-        "chi_estimate": estimate.chi,
-        "s_abs_estimate": estimate.s_abs,
-        "s_signed_estimate": estimate.s_signed,
-        "omega_abs_estimate": estimate.omega_abs,
-        "omega_signed_estimate": estimate.omega_signed,
+        **{f"{name}_estimate": getattr(estimate, name) for name in _VALUES},
         "chi_exact": estimate.exact.chi,
         "omega_signed_exact": estimate.exact.omega_signed,
         "max_abs_z": estimate.max_abs_z,
@@ -225,8 +231,7 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
         for variant in variants:
             relaxed = relaxed_omega_scan(variant)
             results.setdefault("relaxed", {})[variant] = {
-                "max_value": relaxed.max_value,
-                "models_scanned": relaxed.models_scanned,
+                **_bound_payload(relaxed),
                 "leader_sharing_load_bearing": relaxed.max_value > scans[variant].max_value,
             }
 
@@ -259,7 +264,7 @@ def cmd_sweep(args) -> tuple[dict, bool]:
 def _sweep_csv(results: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    columns = ["visibility", "chi", "s_abs", "s_signed", "omega_abs", "omega_signed"]
+    columns = ["visibility", *_VALUES]
     writer.writerow(columns)
     for row in results["rows"]:
         writer.writerow([f"{row[c]:.12g}" for c in columns])

@@ -21,6 +21,10 @@ Mixtures of deterministic models need no separate scan: omega is linear
 (signed) or convex (abs) in the model distribution, so the maximum over
 probabilistic local models is attained at a deterministic vertex.
 
+``evaluate_model`` scores one model with the assembly that builds
+``omega``'s ``InequalityReport``, from its six sequence products and
+twelve Alice·Bob products; the scans read the same signs from term tables.
+
 A model is an integer whose bits are outcome signs (0 is +1, 1 is -1).
 Each class is one term table, a ``_Layout``: its number of bits and its
 chi and S terms as ``(sign, bit positions)`` pairs, so every term is
@@ -55,6 +59,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .inequality import ChiTerms, InequalityReport, _report, omega
 from .observables import (
     ALICE_LABELS,
     BOB_LABELS,
@@ -67,6 +72,7 @@ from .observables import (
     _checked_int,
     _is_sign,
 )
+from .states import four_qubit_state
 
 # Scan blocks: a model index is a block number (bits >= 16) and an offset
 # (bits 0-15) into the block.
@@ -135,13 +141,10 @@ class NoncontextualAssignment:
     def chi(self) -> int:
         """The six-term expression with context-free products."""
         relabel = _IDENTITY_RELABEL if frozenset(self.values) == _ALICE_KEYSET else _BOB_SIDE_RELABEL
-        total = 0
-        for seq in SEQUENCE_ORDER:
-            product = 1
-            for label in SEQUENCES[seq]:
-                product *= self.values[relabel[label]]
-            total += CHI_SIGNS[seq] * product
-        return total
+        return ChiTerms({
+            seq: math.prod(self.values[relabel[label]] for label in SEQUENCES[seq])
+            for seq in SEQUENCE_ORDER
+        }).chi
 
 
 _ALICE_KEYSET = frozenset(ALICE_LABELS)
@@ -188,31 +191,13 @@ class HVModel:
                 )
 
 
-@dataclass(frozen=True)
-class ModelEvaluation:
-    """One model's inequality value and its parts."""
-
-    chi: int
-    s_abs: int
-    s_signed: int
-    omega_abs: int
-    omega_signed: int
-
-
-def evaluate_model(model: HVModel) -> ModelEvaluation:
-    chi = sum(
-        CHI_SIGNS[seq] * model.alice[seq, 1] * model.alice[seq, 2] * model.alice[seq, 3]
-        for seq in SEQUENCE_ORDER
-    )
-    correlators = [model.alice[t.sequence, t.position] * model.bob[t.bob] for t in S_TERMS]
-    s_abs = sum(map(abs, correlators))
-    s_signed = sum(t.sign * c for t, c in zip(S_TERMS, correlators))
-    return ModelEvaluation(
-        chi=chi,
-        s_abs=s_abs,
-        s_signed=s_signed,
-        omega_abs=chi + s_abs,
-        omega_signed=chi + s_signed,
+def evaluate_model(model: HVModel) -> InequalityReport:
+    """The model's report from its six sequence products and twelve
+    Alice·Bob products; every term and value is an int."""
+    alice = model.alice
+    return _report(
+        {seq: alice[seq, 1] * alice[seq, 2] * alice[seq, 3] for seq in SEQUENCE_ORDER},
+        {t.key: alice[t.sequence, t.position] * model.bob[t.bob] for t in S_TERMS},
     )
 
 
@@ -523,9 +508,6 @@ def bound_gap_report(
     The quantum values are taken from the exact engine at visibility 1,
     not hard-coded.
     """
-    from .inequality import omega
-    from .states import four_qubit_state
-
     report = omega(four_qubit_state(1.0))
     chi_gap = report.chi - chi_bound.max_value
     signed_gap = report.omega_signed - signed_bound.max_value

@@ -23,10 +23,12 @@ distributions of :mod:`bellsquare.sequences` to the finite-shot sampler.
 Each chi term is the identity coefficient of its sequence product,
 exactly ±1 for every state (compatible sequences have joint-measurement
 statistics: Gühne et al., PRA 81, 022121 (2010)).  ``omega`` is the only
-reader of the correlators and sequence products, and one private
-assembly sums chi, both S and both omega from the term maps, for
-``omega``, for the point estimates of ``estimate_inequality`` and so for
-every ``sweep`` row.
+reader of the correlators and sequence products.  One private assembly
+sums chi, both S and both omega from the term maps: for ``omega`` and so
+for every ``sweep`` row, for the point estimates of
+``estimate_inequality``, and for the ±1 outcome products of a
+hidden-variable model in ``hv_models.evaluate_model``, whose integer
+terms sum to integer values.
 
 For the noisy preparation the signed S value is the polynomial
 ``4V + 8V**2`` in the visibility V while chi stays pinned at 6, so the
@@ -72,13 +74,14 @@ LOCAL_OMEGA_BOUND = 16.0
 
 @dataclass(frozen=True)
 class ChiTerms:
-    """The six per-sequence product expectations, keyed by sequence name."""
+    """The six sequence products, keyed by sequence name: expectations,
+    estimates or one model's ±1 outcome products."""
 
     terms: Mapping[str, float]
 
     @property
     def chi(self) -> float:
-        return float(sum(CHI_SIGNS[name] * self.terms[name] for name in SEQUENCE_ORDER))
+        return sum(CHI_SIGNS[name] * self.terms[name] for name in SEQUENCE_ORDER)
 
 
 @dataclass(frozen=True)
@@ -89,16 +92,18 @@ class STerms:
 
     @property
     def s_abs(self) -> float:
-        return float(sum(abs(self.terms[t.key]) for t in S_TERMS))
+        return sum(abs(self.terms[t.key]) for t in S_TERMS)
 
     @property
     def s_signed(self) -> float:
-        return float(sum(t.sign * self.terms[t.key] for t in S_TERMS))
+        return sum(t.sign * self.terms[t.key] for t in S_TERMS)
 
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """All inequality ingredients for one state, both S variants."""
+    """The 18 terms and chi, S and omega, both S variants, of a quantum
+    state (``omega``), a shot estimate (``estimate_inequality``) or a
+    hidden-variable model (``evaluate_model``, whose terms are ints)."""
 
     chi_terms: ChiTerms
     s_terms: STerms
@@ -135,8 +140,9 @@ _PAIR_OPERATORS = tuple(
 
 
 def _report(chi_terms: dict[str, float], s_terms: dict[str, float]) -> InequalityReport:
-    """The report of six chi terms and twelve correlators, exact or
-    estimated: the one place where chi, both S and both omega are summed."""
+    """The report of six chi terms and twelve correlators, exact,
+    estimated or of a model: the one place where chi, both S and both
+    omega are summed."""
     chi_t, s_t = ChiTerms(chi_terms), STerms(s_terms)
     chi, s_abs, s_signed = chi_t.chi, s_t.s_abs, s_t.s_signed
     return InequalityReport(chi_t, s_t, chi, s_abs, s_signed, chi + s_abs, chi + s_signed)

@@ -25,6 +25,7 @@ sequence, slot) entry per pair and sequence that holds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -93,7 +94,7 @@ class STermSpec:
     position: int
     sign: int
 
-    @property
+    @cached_property  # omega and evaluate_model read it on every call
     def key(self) -> str:
         return f"{self.alice}{self.bob}|{self.sequence}"
 

@@ -13,6 +13,7 @@ import bellsquare.observables
 from bellsquare import SEQUENCE_ORDER, BoundResult, decode_model
 from bellsquare.observables import SquareCheck
 from bellsquare.cli import main
+from bellsquare.inequality import _report, omega
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -118,6 +119,18 @@ class TestQuantum:
         results = report["results"]
         assert results["omega_signed"] == pytest.approx(10.0, abs=1e-9)
         assert results["violated_signed"] is False
+
+    def test_correlator_off_the_closed_form_fails(self, capsys, monkeypatch):
+        # One correlator 1e-6 off: omega = chi + S still holds, the closed form does not.
+        def shifted(rho):
+            true = omega(rho)
+            s_terms = {**true.s_terms.terms, "BB'|ABC": true.s_terms.terms["BB'|ABC"] + 1e-6}
+            return _report(dict(true.chi_terms.terms), s_terms)
+
+        monkeypatch.setattr(bellsquare.cli, "omega", shifted)
+        code, report = run_json(["quantum", "--visibility", "0.93"], capsys)
+        assert code == 1
+        assert report["passed"] is False
 
 
 class TestSample:

@@ -169,6 +169,7 @@ class TestContextFreeBounds:
                 CHI_SIGNS[seq] * np.prod([values[read_as.get(m, m)] for m in members])
                 for seq, members in SEQUENCES.items()
             )
+            assert NoncontextualAssignment(values=values).chi() == chis[i]
         best = max(chis.values())
         expected = [i for i in range(512) if chis[i] == best]
         result = bound(max_witnesses=512)
@@ -390,8 +391,17 @@ class TestLayoutTables:
         signed = omega_at(_CONSTRAINED, "signed", indices)
         absolute = omega_at(_CONSTRAINED, "abs", indices)
         for k, index in enumerate(indices):
-            evaluation = evaluate_model(decode_model(int(index)))
+            model = decode_model(int(index))
+            evaluation = evaluate_model(model)
             assert (signed[k], absolute[k]) == (evaluation.omega_signed, evaluation.omega_abs)
+            a = model.alice
+            assert evaluation.chi_terms.terms == {
+                seq: a[seq, 1] * a[seq, 2] * a[seq, 3] for seq in SEQUENCE_ORDER}
+            assert evaluation.s_terms.terms == {
+                t.key: a[t.sequence, t.position] * model.bob[t.bob] for t in S_TERMS}
+            values = (evaluation.chi, evaluation.s_abs, evaluation.s_signed,
+                      evaluation.omega_abs, evaluation.omega_signed)
+            assert all(type(v) is int for v in values), values
 
     def test_relaxed_layout_matches_per_slot_evaluation(self):
         # Bits 0-17: the three slots of each sequence in SEQUENCE_ORDER;
