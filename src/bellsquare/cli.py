@@ -74,11 +74,12 @@ def _round12(x: float) -> float:
 
 
 def _jsonable(value):
-    """Recursively convert a payload, rounding floats to 12 significant digits."""
+    """Recursively convert a payload, rounding floats to 12 significant digits;
+    a non-finite float, which strict JSON cannot hold, becomes null."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
-        return _round12(value)
+        return _round12(value) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -166,7 +167,7 @@ def cmd_sample(args) -> tuple[dict, bool]:
             "exact": t.exact,
             "estimate": t.estimate,
             "sigma": t.sigma,
-            "z_score": t.z_score if t.sigma or t.estimate == t.exact else None,
+            "z_score": t.z_score,
             "n_shots": t.n_shots,
         }
 

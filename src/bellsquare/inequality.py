@@ -17,9 +17,11 @@ signed, 18 for abs); see :mod:`bellsquare.hv_models`.
 ``omega(rho)`` needs no outcome distribution.  All the observables of a
 setting commute, so each correlator is the expectation of one Pauli
 product, <A A'> = tr(ρ · A · A'), the same in both sequences that hold A:
-one contraction of ρ with the cached stack of the six pair operators
-reads all twelve, the same contraction that gives the outcome
-distributions of :mod:`bellsquare.sequences` to the finite-shot sampler.
+one contraction of ρ with the stack of the six pair operators, built
+once at import, reads all twelve.  It is the contraction of
+``states._pauli_expectations``, which also gives the outcome
+distributions of :mod:`bellsquare.sequences` to the finite-shot sampler
+and rejects an imaginary part for both.
 Each chi term is the identity coefficient of its sequence product,
 exactly ±1 for every state (compatible sequences have joint-measurement
 statistics: Gühne et al., PRA 81, 022121 (2010)).  ``omega`` is the only
@@ -45,8 +47,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .observables import (
     BOB_LABELS,
     CHI_SIGNS,
@@ -58,15 +58,9 @@ from .observables import (
     _checked_int,
 )
 from .pauli import pauli_product
-from .sequences import (
-    SequenceSpec,
-    _check_four_qubits,
-    _count_outcomes,
-    derive_seed,
-    sequence_distribution,
-)
+from .sequences import SequenceSpec, _count_outcomes, derive_seed, sequence_distribution
 from .states import (
-    HERMITICITY_TOL, DensityState, _check_visibility, _pauli_expectations, four_qubit_state)
+    DensityState, _check_visibility, _pauli_expectations, _pauli_stack, four_qubit_state)
 
 NONCONTEXTUAL_CHI_BOUND = 4.0
 LOCAL_OMEGA_BOUND = 16.0
@@ -126,14 +120,14 @@ class InequalityReport:
         return self.chi > NONCONTEXTUAL_CHI_BOUND
 
 
-# The symbolic values that ``omega`` reads: the identity coefficient (±1)
-# of each sequence's operator product, and the six pair operators A · A'
-# in ``PAIR_SIGNS`` order.
+# The values that ``omega`` reads: the identity coefficient (±1) of each
+# sequence's operator product, and the read-only stack of the six pair
+# operators A · A' in ``PAIR_SIGNS`` order.
 _SEQUENCE_PHASES = {
     name: pauli_product(OBSERVABLES[lab] for lab in SEQUENCES[name]).phase.real
     for name in SEQUENCE_ORDER
 }
-_PAIR_OPERATORS = tuple(
+_PAIR_STACK = _pauli_stack(
     pauli_product([OBSERVABLES[alice], OBSERVABLES[bob]])
     for alice, bob in zip(PAIR_SIGNS, BOB_LABELS)
 )
@@ -157,20 +151,14 @@ def omega(rho: DensityState) -> InequalityReport:
     never estimated.  Alice's observable and Bob's partner commute with the
     rest of their setting, so each of the twelve correlators is
     tr(ρ · A · A'), the same in both sequences that hold A: one
-    contraction against the cached stack of the six pair operators
-    gives them all.
+    contraction against the stack of the six pair operators, built at
+    import, gives them all.
 
     Raises:
-        ValueError: On a state not on 4 qubits.
         RuntimeError: If a correlator has an imaginary part above
             ``HERMITICITY_TOL``.
     """
-    _check_four_qubits(rho)
-    values = _pauli_expectations(rho, _PAIR_OPERATORS)
-    worst = float(np.max(np.abs(values.imag)))
-    if worst > HERMITICITY_TOL:
-        raise RuntimeError(f"correlator has imaginary part {worst}")
-    pairs = dict(zip(PAIR_SIGNS, values.real.tolist()))
+    pairs = dict(zip(PAIR_SIGNS, _pauli_expectations(rho, _PAIR_STACK).tolist()))
     return _report(dict(_SEQUENCE_PHASES), {t.key: pairs[t.alice] for t in S_TERMS})
 
 

@@ -10,10 +10,13 @@ of the k = 3 (or 4, with Bob) ±1 outcomes is
 p(o) = tr(Π_i (I + o_i P_i)/2 · ρ).  Multiplied out, this is the Fourier
 expansion p(o) = 2^-k Σ_T (Π_{i∈T} o_i) · tr(ρ · Π_{i∈T} P_i) over the
 subsets T of the setting: one contraction reads its 2^k Pauli
-expectations, with no sampling.  The distributions serve the sampler,
-which emulates a finite-shot experiment by drawing whole outcome tuples
-by inverse CDF, and Bob's no-signalling marginal (``bob_marginal``); the
-exact chi terms and correlators are read by ``inequality.omega`` alone.
+expectations, with no sampling, against the stack of subset products
+that the setting's cached table holds.  An imaginary part above
+``states.HERMITICITY_TOL`` raises, as in ``omega``.  The distributions
+serve the sampler, which emulates a finite-shot experiment by drawing
+whole outcome tuples by inverse CDF, and Bob's no-signalling marginal
+(``bob_marginal``); the exact chi terms and correlators are read by
+``inequality.omega`` alone.
 
 Reproducibility contract: randomness comes from a SplitMix64 counter
 stream.  Draw ``i`` (0-based) of the stream with seed ``s`` is::
@@ -49,7 +52,7 @@ import numpy as np
 
 from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES, _checked_int, _is_sign
 from .pauli import PauliString, pauli_product
-from .states import DensityState, _pauli_expectations
+from .states import DensityState, _pauli_expectations, _pauli_stack
 
 PROBABILITY_SUM_TOL = 1e-10
 ZERO_PROBABILITY_TOL = 1e-12
@@ -121,22 +124,18 @@ class ShotRecord(NamedTuple):
     seed: int
 
 
-def _check_four_qubits(rho: DensityState) -> None:
-    if rho.n_qubits != 4:
-        raise ValueError(f"sequences are defined on 4 qubits, state has {rho.n_qubits}")
-
-
 @cache
 def _setting_table(labels: tuple[str, ...]):
-    """Outcome tuples, subset products and 2^-k · characters of one setting: subset c holds
-    the observables at the set bits of c, and outcome tuple r is -1 at the set bits of r."""
-    strings = tuple(
+    """Outcome tuples, the stack of subset products and 2^-k · characters of one setting:
+    subset c holds the observables at the set bits of c, and outcome tuple r is -1 at the
+    set bits of r."""
+    stack = _pauli_stack(
         pauli_product(OBSERVABLES[lab] if t else PauliString.identity(4)
                       for lab, t in zip(labels, subset))
         for subset in product((False, True), repeat=len(labels)))
     characters = reduce(np.kron, [np.array([[1, 1], [1, -1]])] * len(labels)) / 2 ** len(labels)
     characters.flags.writeable = False  # shared by every caller through the cache
-    return tuple(product((1, -1), repeat=len(labels))), strings, characters
+    return tuple(product((1, -1), repeat=len(labels))), stack, characters
 
 
 def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistribution:
@@ -146,11 +145,14 @@ def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistr
     present) gets p(o) = 2^-k Σ_T (Π_{i∈T} o_i) · tr(ρ · Π_{i∈T} P_i); the
     empty product is the identity, so its term is tr ρ.  Outcomes whose
     probability falls below the zero threshold are dropped.
+
+    Raises:
+        RuntimeError: If a subset product's expectation has an imaginary
+            part above ``HERMITICITY_TOL``.
     """
-    _check_four_qubits(rho)
     labels = spec.alice_labels + (() if spec.bob is None else (spec.bob,))
-    outcomes, strings, characters = _setting_table(labels)
-    probabilities = characters @ _pauli_expectations(rho, strings).real
+    outcomes, stack, characters = _setting_table(labels)
+    probabilities = characters @ _pauli_expectations(rho, stack)
     entries = {o: p for o, p in zip(outcomes, probabilities.tolist()) if p >= ZERO_PROBABILITY_TOL}
     return OutcomeDistribution(spec=spec, entries=entries)
 

@@ -1,20 +1,21 @@
-"""Dense density-operator engine for small qubit registers.
+"""Dense density-operator engine for the four-qubit state space.
 
 ``four_qubit_state`` is the one state builder: the preparation of
 singlets pairing qubits 1-3 and 2-4, each pair mixed with white noise,
-V·|ψ⁻⟩⟨ψ⁻| + (1 − V)·𝟙/4.  Expectation values of Pauli strings are read
-from a state in one contraction per batch against a cached stack of their
-matrices.  Every ``DensityState`` is validated once, on construction:
-finite entries, unit trace, Hermitian, positive semidefinite within fixed
-tolerances.
+V·|ψ⁻⟩⟨ψ⁻| + (1 − V)·𝟙/4.  Every ``DensityState`` is a 16×16 matrix,
+validated once, on construction: the shape, finite entries, unit trace,
+Hermitian, positive semidefinite within fixed tolerances.  Every value
+the program reads from a state is tr(ρ · P) of a Pauli product P,
+computed by ``_pauli_expectations`` in one contraction against a
+read-only stack of Pauli matrices that its caller builds once and holds;
+it is the one place that rejects an imaginary part.
 
 States are immutable; the backing arrays are marked read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,24 +31,18 @@ EIGENVALUE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class DensityState:
-    """Validated 2^n x 2^n density operator.
+    """Validated 16×16 density operator on the four qubits.
 
-    Construction copies the input, checks that every entry is finite,
-    then trace/Hermiticity/positivity, and freezes the array.
-    ``n_qubits`` is derived from the shape.
+    Construction copies the input, checks its shape and that every entry
+    is finite, then trace/Hermiticity/positivity, and freezes the array.
     """
 
     matrix: np.ndarray
-    n_qubits: int = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        dim = m.shape[0]
-        n = dim.bit_length() - 1
-        if dim != 1 << n or n < 1:
-            raise ValueError(f"dimension {dim} is not a power of two >= 2")
+        if m.shape != (16, 16):
+            raise ValueError(f"density matrix must be 16x16 (four qubits), got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has a non-finite entry")
         trace = complex(np.trace(m))
@@ -60,10 +55,9 @@ class DensityState:
             raise ValueError(f"density matrix has negative eigenvalue {lowest}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "n_qubits", n)
 
     def __repr__(self) -> str:
-        return f"DensityState(n_qubits={self.n_qubits})"
+        return "DensityState(16x16)"
 
 
 def _check_visibility(visibility: float) -> float:
@@ -108,36 +102,42 @@ def _reorder_qubits(matrix: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
     return t.reshape(matrix.shape)
 
 
-@cache
-def _pauli_stack(strings: tuple[PauliString, ...]) -> np.ndarray:
-    """Read-only (k, 2^n, 2^n) stack of the strings' matrices."""
+def _pauli_stack(strings) -> np.ndarray:
+    """Read-only (k, 16, 16) stack of the strings' matrices, for a caller to hold."""
     stack = np.stack([to_matrix(p) for p in strings])
-    stack.flags.writeable = False  # shared by every caller through the cache
+    stack.flags.writeable = False
     return stack
 
 
-def _pauli_expectations(rho: DensityState, strings: tuple[PauliString, ...]) -> np.ndarray:
-    """Complex tr(ρ · P) for each string P, in one contraction."""
-    return np.einsum("kij,ji->k", _pauli_stack(strings), rho.matrix)
+def _pauli_expectations(rho: DensityState, stack: np.ndarray) -> np.ndarray:
+    """Real tr(ρ · P) for each matrix P of a ``_pauli_stack``, in one contraction.
+
+    Raises:
+        RuntimeError: If an expectation has an imaginary part above
+            ``HERMITICITY_TOL``.
+    """
+    values = np.einsum("kij,ji->k", stack, rho.matrix)
+    worst = max(map(abs, values.imag.tolist()))
+    if worst > HERMITICITY_TOL:
+        raise RuntimeError(f"Pauli expectation has imaginary part {worst}")
+    return values.real
 
 
 def expectation(rho: DensityState, obs: PauliString) -> float:
-    """Expectation value tr(rho * obs) of a Hermitian Pauli string.
+    """Expectation value tr(rho * obs) of a Hermitian four-qubit Pauli string.
 
     Returns:
         A real value in [-1, 1].
 
     Raises:
-        ValueError: On qubit-count mismatch or non-Hermitian observable.
+        ValueError: On an observable not on 4 qubits or not Hermitian.
+        RuntimeError: On an imaginary part above ``HERMITICITY_TOL``.
     """
-    if obs.n_qubits != rho.n_qubits:
-        raise ValueError(f"observable acts on {obs.n_qubits} qubits, state has {rho.n_qubits}")
+    if obs.n_qubits != 4:
+        raise ValueError(f"observable acts on {obs.n_qubits} qubits, the state on 4")
     if not obs.is_hermitian:
         raise ValueError(f"observable {obs.label} is not Hermitian")
-    value = complex(_pauli_expectations(rho, (obs,))[0])
-    if abs(value.imag) > HERMITICITY_TOL:
-        raise RuntimeError(f"expectation of {obs.label} has imaginary part {value.imag}")
-    real = value.real
+    real = float(_pauli_expectations(rho, to_matrix(obs)[None])[0])
     if abs(real) > 1 + EIGENVALUE_TOL:
         raise RuntimeError(f"expectation of {obs.label} out of range: {real}")
-    return float(min(1.0, max(-1.0, real)))
+    return min(1.0, max(-1.0, real))

@@ -21,6 +21,10 @@ CASES = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def regenerate() -> None:
     out_dir = Path(__file__).parent
     for name, argv in CASES.items():
@@ -29,7 +33,7 @@ def regenerate() -> None:
             code = main(argv)
         if code != 0:
             raise RuntimeError(f"{name}: exit code {code}")
-        report = json.loads(buffer.getvalue())
+        report = json.loads(buffer.getvalue(), parse_constant=_reject_constant)
         report.pop("elapsed_seconds", None)
         path = out_dir / f"{name}.json"
         path.write_text(json.dumps(report, indent=2) + "\n")

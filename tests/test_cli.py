@@ -1,6 +1,7 @@
 """CLI tests: exit codes, payload schemas, golden files, CSV round trips."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 
 import bellsquare.cli
 import bellsquare.observables
-from bellsquare import SEQUENCE_ORDER, BoundResult, decode_model
+from bellsquare import SEQUENCE_ORDER, BoundResult, decode_model, estimate_inequality
 from bellsquare.observables import SquareCheck
 from bellsquare.cli import main
 from bellsquare.inequality import _report, omega
@@ -18,10 +19,19 @@ from bellsquare.inequality import _report, omega
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_loads(text: str):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_json(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
-    return code, json.loads(captured.out)
+    return code, strict_loads(captured.out)
 
 
 def strip_timing(report: dict) -> dict:
@@ -150,6 +160,23 @@ class TestSample:
         assert results["omega_signed_estimate"] == 18.0
         assert results["omega_signed_exact"] == pytest.approx(18.0, abs=1e-9)
 
+    def test_infinite_z_is_null(self, capsys, monkeypatch):
+        # A χ term has σ = 0, so one shot off its exact ±1 gives z = ∞,
+        # which strict JSON cannot hold: the report writes null and fails.
+        def one_shot_off(visibility, shots, seed):
+            estimate = estimate_inequality(visibility, shots, seed)
+            term = estimate.chi_terms["ABC"]
+            off = dataclasses.replace(term, estimate=term.estimate - 2 / term.n_shots)
+            return dataclasses.replace(estimate, chi_terms={**estimate.chi_terms, "ABC": off})
+
+        monkeypatch.setattr(bellsquare.cli, "estimate_inequality", one_shot_off)
+        code, report = run_json(["sample", "--shots", "2000", "--seed", "7"], capsys)
+        assert code == 1
+        results = report["results"]
+        assert results["max_abs_z"] is None
+        assert results["chi_terms"]["ABC"]["z_score"] is None
+        assert results["within_5_sigma"] is False
+
 
 class TestHvBound:
     def test_signed(self, capsys):
@@ -239,7 +266,7 @@ class TestOutputRouting:
         target = tmp_path / "report.json"
         code = main(["identities", "--out", str(target)])
         assert code == 0
-        report = json.loads(target.read_text())
+        report = strict_loads(target.read_text())
         assert report["command"] == "identities"
         assert capsys.readouterr().out == ""
 
@@ -247,7 +274,7 @@ class TestOutputRouting:
         monkeypatch.setenv("BELLSQUARE_OUT", str(tmp_path))
         code = main(["identities"])
         assert code == 0
-        report = json.loads((tmp_path / "identities.json").read_text())
+        report = strict_loads((tmp_path / "identities.json").read_text())
         assert report["passed"] is True
 
     def test_out_flag_on_directory_is_usage_error(self, tmp_path, capsys):
@@ -280,5 +307,5 @@ class TestGolden:
     def test_payload_matches_golden(self, name, argv, capsys):
         # Regenerate with: python tests/golden/regenerate.py
         _, report = run_json(argv, capsys)
-        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        golden = strict_loads((GOLDEN_DIR / f"{name}.json").read_text())
         assert strip_timing(report) == golden

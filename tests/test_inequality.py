@@ -130,11 +130,6 @@ class TestOmega:
         assert report.omega_abs == pytest.approx(want["omega_abs"], abs=1e-12)
         assert report.omega_signed == pytest.approx(want["omega_signed"], abs=1e-12)
 
-    def test_rejects_state_not_on_four_qubits(self):
-        rho = DensityState(np.eye(4) / 4)
-        with pytest.raises(ValueError, match="sequences are defined on 4 qubits"):
-            omega(rho)
-
     def test_imaginary_correlator_raises(self):
         # An anti-Hermitian part within the state's Hermiticity tolerance
         # per entry still adds up to a correlator imaginary part of 6.4e-10.

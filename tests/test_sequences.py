@@ -29,7 +29,7 @@ from bellsquare import (
     sequence_distribution,
     uniform01,
 )
-from bellsquare import sequences
+from bellsquare import sequences, states
 from bellsquare.sequences import (
     MAX_RECORDS,
     _COUNT_CHUNK,
@@ -38,7 +38,8 @@ from bellsquare.sequences import (
     _mix64,
 )
 
-from conftest import oracle_sample_records, oracle_sequential_distribution, seeded_state
+from conftest import (
+    oracle_matrix, oracle_sample_records, oracle_sequential_distribution, seeded_state)
 
 
 def alice_marginal(dist: OutcomeDistribution, position: int) -> dict[int, float]:
@@ -108,10 +109,6 @@ class TestSequenceDistribution:
         for prob in dist.entries.values():
             assert prob == pytest.approx(0.25, abs=1e-12)
 
-    def test_requires_four_qubits(self):
-        with pytest.raises(ValueError, match="4 qubits"):
-            sequence_distribution(DensityState(np.eye(4) / 4), SequenceSpec("ABC"))
-
     @pytest.mark.parametrize(
         "kind, param",
         [pytest.param("werner", v, id=str(v)) for v in (0.0, 0.6, 1.0)]
@@ -143,6 +140,36 @@ class TestSequenceDistribution:
                 for i, p in enumerate(paulis):
                     for q in paulis[i + 1:]:
                         assert commutes(p, q), (spec, p.label, q.label)
+
+    def test_stacks_are_held(self, monkeypatch):
+        # Once built, the pair stack and each setting's stack are held by
+        # their readers: no later call builds a Pauli matrix again.
+        rho = four_qubit_state(0.9)
+        specs = [SequenceSpec(name) for name in SEQUENCE_ORDER]
+        specs += [SequenceSpec(t.sequence, t.bob) for t in S_TERMS]
+        assert len(specs) == 18
+        first = omega(rho), [sequence_distribution(rho, spec) for spec in specs]
+
+        def refuse(*args):
+            raise AssertionError("a Pauli stack was rebuilt")
+
+        monkeypatch.setattr(states, "_pauli_stack", refuse)
+        monkeypatch.setattr(states, "to_matrix", refuse)
+        again = omega(rho), [sequence_distribution(rho, spec) for spec in specs]
+        assert again[0].s_terms == first[0].s_terms
+        assert [d.entries for d in again[1]] == [d.entries for d in first[1]]
+
+    def test_imaginary_part_raises(self):
+        # The state of TestOmega::test_imaginary_correlator_raises: each
+        # entry is within the Hermiticity tolerance, but tr(ρ·B·B') has an
+        # imaginary part of 6.4e-10, and the BB' product is a subset
+        # product of this setting.
+        bb = oracle_matrix("B") @ oracle_matrix("B'")
+        rho = DensityState(np.eye(16) / 16 + 4e-11j * bb)
+        with pytest.raises(RuntimeError, match="imaginary part"):
+            sequence_distribution(rho, SequenceSpec("ABC", "B'"))
+        with pytest.raises(RuntimeError, match="imaginary part"):
+            sample(rho, SequenceSpec("ABC", "B'"), 10, 7)
 
 
 def pair_mean(dist: OutcomeDistribution, position: int) -> float:

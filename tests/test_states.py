@@ -22,17 +22,30 @@ def pair_string(alice_label: str, bob_label: str) -> PauliString:
 
 
 class TestDensityState:
+    # A state is 16×16; every other shape, the 1- to 3-qubit and 5-qubit
+    # squares included, is refused on construction.
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (4, 4), (8, 8), (32, 32), (16, 8), (16,), (16, 16, 1)],
+        ids=lambda shape: "x".join(map(str, shape)))
+    def test_rejects_shape_other_than_16x16(self, shape):
+        m = np.zeros(shape, dtype=complex)
+        if len(shape) == 2 and shape[0] == shape[1]:
+            np.fill_diagonal(m, 1 / shape[0])  # a valid state of that width
+        with pytest.raises(ValueError, match="16x16"):
+            DensityState(m)
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityState(np.eye(2))
+            DensityState(np.eye(16))
 
     def test_rejects_non_hermitian(self):
-        m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+        m = np.eye(16, dtype=complex) / 16
+        m[0, 1] = 0.01
         with pytest.raises(ValueError, match="Hermitian"):
             DensityState(m)
 
     def test_rejects_negative_eigenvalue(self):
-        m = np.diag([1.5, -0.5]).astype(complex)
+        m = np.diag([1.5, -0.5] + [0.0] * 14).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityState(m)
 
@@ -60,9 +73,8 @@ class TestDensityState:
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 1.0
 
-    def test_n_qubits_derived(self):
-        assert DensityState(np.eye(4) / 4).n_qubits == 2
-        assert four_qubit_state(0.5).n_qubits == 4
+    def test_repr_omits_matrix(self):
+        assert repr(four_qubit_state(0.5)) == "DensityState(16x16)"
 
 
 # Each singlet sits on two of the four qubits (0-based positions).
@@ -158,7 +170,7 @@ class TestWernerPair:
             validate(self)
 
         monkeypatch.setattr(DensityState, "__post_init__", counting)
-        assert four_qubit_state(0.9).n_qubits == 4
+        four_qubit_state(0.9)
         assert len(calls) == 1
 
 
@@ -213,9 +225,9 @@ class TestExpectation:
         with pytest.raises(ValueError, match="Hermitian"):
             expectation(ideal_state, PauliString.from_label("+iZZII"))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expectation(DensityState(np.eye(4) / 4), OBSERVABLES["A"])
+    def test_dimension_mismatch(self, ideal_state):
+        with pytest.raises(ValueError, match="2 qubits"):
+            expectation(ideal_state, PauliString.from_label("ZZ"))
 
     def test_result_in_range(self, ideal_state):
         for obs in OBSERVABLES.values():
