@@ -130,6 +130,11 @@ class TestOmega:
         assert report.omega_abs == pytest.approx(want["omega_abs"], abs=1e-12)
         assert report.omega_signed == pytest.approx(want["omega_signed"], abs=1e-12)
 
+    def test_rejects_state_not_on_four_qubits(self):
+        # A 2-qubit state is refused on construction, before omega reads it.
+        with pytest.raises(ValueError, match="16x16"):
+            omega(DensityState(np.eye(4) / 4))
+
     def test_imaginary_correlator_raises(self):
         # An anti-Hermitian part within the state's Hermiticity tolerance
         # per entry still adds up to a correlator imaginary part of 6.4e-10.

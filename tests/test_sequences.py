@@ -109,6 +109,11 @@ class TestSequenceDistribution:
         for prob in dist.entries.values():
             assert prob == pytest.approx(0.25, abs=1e-12)
 
+    def test_requires_four_qubits(self):
+        # A 2-qubit state is refused on construction, before any sequence is read.
+        with pytest.raises(ValueError, match="four qubits"):
+            sequence_distribution(DensityState(np.eye(4) / 4), SequenceSpec("ABC"))
+
     @pytest.mark.parametrize(
         "kind, param",
         [pytest.param("werner", v, id=str(v)) for v in (0.0, 0.6, 1.0)]
