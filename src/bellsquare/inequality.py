@@ -17,11 +17,10 @@ signed, 18 for abs); see :mod:`bellsquare.hv_models`.
 ``omega(rho)`` needs no outcome distribution.  All the observables of a
 setting commute, so each correlator is the expectation of one Pauli
 product, <A A'> = tr(ρ · A · A'), the same in both sequences that hold A:
-one contraction of ρ with the stack of the six pair operators, built
-once at import, reads all twelve.  It is the contraction of
-``states._pauli_expectations``, which also gives the outcome
-distributions of :mod:`bellsquare.sequences` to the finite-shot sampler
-and rejects an imaginary part for both.
+all twelve are six of the state's Pauli coefficients, each times the ±1
+phase of its pair product, found at import from the symbolic products.
+The outcome distributions of :mod:`bellsquare.sequences`, which feed
+the finite-shot sampler, read the same coefficients.
 Each chi term is the identity coefficient of its sequence product,
 exactly ±1 for every state (compatible sequences have joint-measurement
 statistics: Gühne et al., PRA 81, 022121 (2010)).  ``omega`` is the only
@@ -47,6 +46,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .observables import (
     BOB_LABELS,
     CHI_SIGNS,
@@ -59,8 +60,7 @@ from .observables import (
 )
 from .pauli import pauli_product
 from .sequences import SequenceSpec, _count_outcomes, derive_seed, sequence_distribution
-from .states import (
-    DensityState, _check_visibility, _pauli_expectations, _pauli_stack, four_qubit_state)
+from .states import DensityState, _check_visibility, _coefficient_index, four_qubit_state
 
 NONCONTEXTUAL_CHI_BOUND = 4.0
 LOCAL_OMEGA_BOUND = 16.0
@@ -121,16 +121,17 @@ class InequalityReport:
 
 
 # The values that ``omega`` reads: the identity coefficient (±1) of each
-# sequence's operator product, and the read-only stack of the six pair
-# operators A · A' in ``PAIR_SIGNS`` order.
+# sequence's operator product, and where the six pair operators A · A'
+# sit among a state's coefficients, with their ±1 phases, in
+# ``PAIR_SIGNS`` order.
 _SEQUENCE_PHASES = {
     name: pauli_product(OBSERVABLES[lab] for lab in SEQUENCES[name]).phase.real
     for name in SEQUENCE_ORDER
 }
-_PAIR_STACK = _pauli_stack(
-    pauli_product([OBSERVABLES[alice], OBSERVABLES[bob]])
-    for alice, bob in zip(PAIR_SIGNS, BOB_LABELS)
-)
+_PAIR_PRODUCTS = [pauli_product([OBSERVABLES[alice], OBSERVABLES[bob]])
+                  for alice, bob in zip(PAIR_SIGNS, BOB_LABELS)]
+_PAIR_INDICES = np.array([_coefficient_index(p) for p in _PAIR_PRODUCTS])
+_PAIR_PHASES = np.array([p.phase.real for p in _PAIR_PRODUCTS])
 
 
 def _report(chi_terms: dict[str, float], s_terms: dict[str, float]) -> InequalityReport:
@@ -150,15 +151,11 @@ def omega(rho: DensityState) -> InequalityReport:
     that sign for every state, read from the symbolic Pauli product and
     never estimated.  Alice's observable and Bob's partner commute with the
     rest of their setting, so each of the twelve correlators is
-    tr(ρ · A · A'), the same in both sequences that hold A: one
-    contraction against the stack of the six pair operators, built at
-    import, gives them all.
-
-    Raises:
-        RuntimeError: If a correlator has an imaginary part above
-            ``HERMITICITY_TOL``.
+    tr(ρ · A · A'), the same in both sequences that hold A: six of the
+    state's coefficients, each times the ±1 phase of its pair product,
+    give them all.
     """
-    pairs = dict(zip(PAIR_SIGNS, _pauli_expectations(rho, _PAIR_STACK).tolist()))
+    pairs = dict(zip(PAIR_SIGNS, (_PAIR_PHASES * rho.coefficients[_PAIR_INDICES]).tolist()))
     return _report(dict(_SEQUENCE_PHASES), {t.key: pairs[t.alice] for t in S_TERMS})
 
 

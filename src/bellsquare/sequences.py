@@ -9,10 +9,10 @@ update in sequence has the same statistics as one joint measurement
 of the k = 3 (or 4, with Bob) ±1 outcomes is
 p(o) = tr(Π_i (I + o_i P_i)/2 · ρ).  Multiplied out, this is the Fourier
 expansion p(o) = 2^-k Σ_T (Π_{i∈T} o_i) · tr(ρ · Π_{i∈T} P_i) over the
-subsets T of the setting: one contraction reads its 2^k Pauli
-expectations, with no sampling, against the stack of subset products
-that the setting's cached table holds.  An imaginary part above
-``states.HERMITICITY_TOL`` raises, as in ``omega``.  The distributions
+subsets T of the setting: the setting's cached table holds where each
+subset product's letter form sits in ``DensityState.coefficients``, and
+one ±1 character matrix, signed by the products' phases, turns those 2^k
+coefficients into the distribution, with no sampling.  The distributions
 serve the sampler, which emulates a finite-shot experiment by drawing
 whole outcome tuples by inverse CDF, and Bob's no-signalling marginal
 (``bob_marginal``); the exact chi terms and correlators are read by
@@ -52,7 +52,7 @@ import numpy as np
 
 from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES, _checked_int, _is_sign
 from .pauli import PauliString, pauli_product
-from .states import DensityState, _pauli_expectations, _pauli_stack
+from .states import DensityState, _coefficient_index
 
 PROBABILITY_SUM_TOL = 1e-10
 ZERO_PROBABILITY_TOL = 1e-12
@@ -126,16 +126,19 @@ class ShotRecord(NamedTuple):
 
 @cache
 def _setting_table(labels: tuple[str, ...]):
-    """Outcome tuples, the stack of subset products and 2^-k · characters of one setting:
-    subset c holds the observables at the set bits of c, and outcome tuple r is -1 at the
-    set bits of r."""
-    stack = _pauli_stack(
+    """Outcome tuples, the coefficient indices of the subset products and 2^-k ·
+    characters signed by the products' phases, of one setting: subset c holds the
+    observables at the set bits of c, and outcome tuple r is -1 at the set bits of r."""
+    products = [
         pauli_product(OBSERVABLES[lab] if t else PauliString.identity(4)
                       for lab, t in zip(labels, subset))
-        for subset in product((False, True), repeat=len(labels)))
+        for subset in product((False, True), repeat=len(labels))]
     characters = reduce(np.kron, [np.array([[1, 1], [1, -1]])] * len(labels)) / 2 ** len(labels)
-    characters.flags.writeable = False  # shared by every caller through the cache
-    return tuple(product((1, -1), repeat=len(labels))), stack, characters
+    characters *= [p.phase.real for p in products]
+    indices = np.array([_coefficient_index(p) for p in products])
+    # Shared by every caller through the cache.
+    characters.flags.writeable = indices.flags.writeable = False
+    return tuple(product((1, -1), repeat=len(labels))), indices, characters
 
 
 def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistribution:
@@ -143,16 +146,13 @@ def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistr
 
     Each outcome tuple o over Alice's three observables (then Bob's, if
     present) gets p(o) = 2^-k Σ_T (Π_{i∈T} o_i) · tr(ρ · Π_{i∈T} P_i); the
-    empty product is the identity, so its term is tr ρ.  Outcomes whose
-    probability falls below the zero threshold are dropped.
-
-    Raises:
-        RuntimeError: If a subset product's expectation has an imaginary
-            part above ``HERMITICITY_TOL``.
+    empty product is the identity, so its term is tr ρ.  Each tr(ρ · P) is
+    a coefficient of ``rho``.  Outcomes whose probability falls below the
+    zero threshold are dropped.
     """
     labels = spec.alice_labels + (() if spec.bob is None else (spec.bob,))
-    outcomes, stack, characters = _setting_table(labels)
-    probabilities = characters @ _pauli_expectations(rho, stack)
+    outcomes, indices, characters = _setting_table(labels)
+    probabilities = characters @ rho.coefficients[indices]
     entries = {o: p for o, p in zip(outcomes, probabilities.tolist()) if p >= ZERO_PROBABILITY_TOL}
     return OutcomeDistribution(spec=spec, entries=entries)
 

@@ -5,23 +5,29 @@ singlets pairing qubits 1-3 and 2-4, each pair mixed with white noise,
 V·|ψ⁻⟩⟨ψ⁻| + (1 − V)·𝟙/4.  Every ``DensityState`` is a 16×16 matrix,
 validated once, on construction: the shape, finite entries, unit trace,
 Hermitian, positive semidefinite within fixed tolerances.  Every value
-the program reads from a state is tr(ρ · P) of a Pauli product P,
-computed by ``_pauli_expectations`` in one contraction against a
-read-only stack of Pauli matrices that its caller builds once and holds;
-it is the one place that rejects an imaginary part.
+the program reads from a state is tr(ρ · P) of a Pauli product P, so
+construction also computes the 256 coefficients tr(ρ · P) of the
+letter-form strings, in one contraction, and every reader looks its
+values up with the ±1 phases of its symbolic products.  ρ is Hermitian
+exactly when all 256 are real: the one Hermiticity rule bounds their
+imaginary parts, and the trace is the identity's coefficient.
 
 States are immutable; the backing arrays are marked read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString, to_matrix
+from .pauli import PHASES, PauliString
 
 TRACE_TOL = 1e-10
+# The largest imaginary part allowed in a Pauli coefficient is half of
+# this.  Each entry of ρ meets 16 strings, each with weight 1/16, so no
+# entry of ρ − ρ† then exceeds HERMITICITY_TOL, and no product read from
+# an accepted state has an imaginary part above it.
 HERMITICITY_TOL = 1e-10
 # Eigenvalue tolerance is looser: eigvalsh returns the exact zero
 # eigenvalues of a valid state (a pure one, say) as rounding-scale
@@ -29,15 +35,55 @@ HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 
 
+def _coefficient_index(p: PauliString) -> int:
+    """Where the letter form of a four-qubit string sits in
+    ``DensityState.coefficients``: tr(ρ · p) = p.phase · coefficients[index]."""
+    return p.x_mask + 16 * p.z_mask
+
+
+def _letter_entries() -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices and entries of the 256 letter-form strings P, one
+    nonzero entry per row r: tr(ρ · P) = Σ_r P[r, c] · ρ[c, r].
+
+    The matrix index carries qubit 1 in its highest bit and a mask carries
+    it in its lowest, so ``flip`` reverses a mask's bits.  In matrix bits,
+    the string with masks (x, z) is i^|x∧z| X^x Z^z (Y = iXZ): row r
+    holds i^|x∧z| · (-1)^|z∧c| in column c = r ⊕ x.  Returns the flat
+    index of ρ[c, r] by (x, r) and P[r, c] by (x, z, r).
+    """
+    flip = [sum(((m >> j) & 1) << (3 - j) for j in range(4)) for m in range(16)]
+    columns = np.array([[r ^ flip[x] for r in range(16)] for x in range(16)])
+    signs = np.array([[1 - 2 * ((flip[z] & c).bit_count() & 1) for c in range(16)]
+                      for z in range(16)])
+    phases = np.array([[PHASES[(x & z).bit_count() % 4] for z in range(16)]
+                       for x in range(16)])
+    entries = np.ascontiguousarray(phases[:, :, None] * signs[:, columns].transpose(1, 0, 2))
+    gather = columns * 16 + np.arange(16)
+    for table in (gather, entries):
+        table.flags.writeable = False
+    return gather, entries
+
+
+_GATHER, _ENTRIES = _letter_entries()
+
+
 @dataclass(frozen=True, eq=False)
 class DensityState:
     """Validated 16×16 density operator on the four qubits.
 
     Construction copies the input, checks its shape and that every entry
-    is finite, then trace/Hermiticity/positivity, and freezes the array.
+    is finite, computes ``coefficients``, then checks trace, Hermiticity
+    and positivity, and freezes both arrays.
+
+    Attributes:
+        matrix: The read-only 16×16 complex matrix.
+        coefficients: Read-only float64 array of the 256 values
+            tr(ρ · P), P the letter-form string with X mask x and Z mask
+            z at index x + 16·z (see ``pauli.PauliString``).
     """
 
     matrix: np.ndarray
+    coefficients: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -45,16 +91,21 @@ class DensityState:
             raise ValueError(f"density matrix must be 16x16 (four qubits), got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has a non-finite entry")
-        trace = complex(np.trace(m))
+        c = np.einsum("xzi,xi->zx", _ENTRIES, m.ravel().take(_GATHER)).reshape(256)
+        trace = complex(c[0])
         if abs(trace - 1) > TRACE_TOL:
             raise ValueError(f"trace must be 1 within {TRACE_TOL}, got {trace}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
+        worst = float(np.abs(c.imag).max())
+        if worst > HERMITICITY_TOL / 2:
+            raise ValueError(
+                f"density matrix is not Hermitian: a Pauli coefficient has imaginary part {worst}")
         lowest = float(np.linalg.eigvalsh(m)[0])
         if lowest < -EIGENVALUE_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lowest}")
-        m.flags.writeable = False
+        coefficients = c.real.copy()
+        m.flags.writeable = coefficients.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def __repr__(self) -> str:
         return "DensityState(16x16)"
@@ -89,55 +140,30 @@ def four_qubit_state(visibility: float = 1.0) -> DensityState:
     validated.
     """
     v = _check_visibility(visibility)
-    pair = v * _SINGLET + (1 - v) * (np.eye(4, dtype=complex) / 4)
-    stacked = np.kron(pair, pair)  # qubit layout (1,3,2,4)
-    return DensityState(_reorder_qubits(stacked, (0, 2, 1, 3)))
-
-
-def _reorder_qubits(matrix: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
-    """Rearrange tensor factors: new axis k holds current axis perm[k]."""
-    n = len(perm)
-    t = matrix.reshape((2,) * (2 * n))
-    t = t.transpose([*perm, *(p + n for p in perm)])
-    return t.reshape(matrix.shape)
-
-
-def _pauli_stack(strings) -> np.ndarray:
-    """Read-only (k, 16, 16) stack of the strings' matrices, for a caller to hold."""
-    stack = np.stack([to_matrix(p) for p in strings])
-    stack.flags.writeable = False
-    return stack
-
-
-def _pauli_expectations(rho: DensityState, stack: np.ndarray) -> np.ndarray:
-    """Real tr(ρ · P) for each matrix P of a ``_pauli_stack``, in one contraction.
-
-    Raises:
-        RuntimeError: If an expectation has an imaginary part above
-            ``HERMITICITY_TOL``.
-    """
-    values = np.einsum("kij,ji->k", stack, rho.matrix)
-    worst = max(map(abs, values.imag.tolist()))
-    if worst > HERMITICITY_TOL:
-        raise RuntimeError(f"Pauli expectation has imaginary part {worst}")
-    return values.real
+    # The pair's axes are (i, i', j, j'): row bits, then column bits, of its
+    # two qubits.  The first factor fills the axes of qubits 1 and 3 of
+    # (i1, i2, i3, i4, j1, j2, j3, j4), the second those of qubits 2 and 4.
+    p = (v * _SINGLET + (1 - v) * (np.eye(4, dtype=complex) / 4)).reshape(2, 2, 2, 2)
+    return DensityState(
+        (p[:, None, :, None, :, None, :, None] * p[None, :, None, :, None, :, None, :]).reshape(16, 16))
 
 
 def expectation(rho: DensityState, obs: PauliString) -> float:
-    """Expectation value tr(rho * obs) of a Hermitian four-qubit Pauli string.
+    """Expectation value tr(rho * obs) of a Hermitian four-qubit Pauli string,
+    the coefficient of its letter form times its ±1 phase.
 
     Returns:
         A real value in [-1, 1].
 
     Raises:
         ValueError: On an observable not on 4 qubits or not Hermitian.
-        RuntimeError: On an imaginary part above ``HERMITICITY_TOL``.
+        RuntimeError: On a value out of range by more than ``EIGENVALUE_TOL``.
     """
     if obs.n_qubits != 4:
         raise ValueError(f"observable acts on {obs.n_qubits} qubits, the state on 4")
     if not obs.is_hermitian:
         raise ValueError(f"observable {obs.label} is not Hermitian")
-    real = float(_pauli_expectations(rho, to_matrix(obs)[None])[0])
+    real = obs.phase.real * float(rho.coefficients[_coefficient_index(obs)])
     if abs(real) > 1 + EIGENVALUE_TOL:
         raise RuntimeError(f"expectation of {obs.label} out of range: {real}")
     return min(1.0, max(-1.0, real))

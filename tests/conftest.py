@@ -66,6 +66,23 @@ def oracle_matrix(label: str) -> np.ndarray:
     return kron_letters(LETTER_DEFS[label])
 
 
+@cache
+def oracle_letter_stack() -> np.ndarray:
+    """The 256 letter-form strings as matrices, string x + 16·z at index
+    x + 16·z: bit j of the X mask x and the Z mask z sets qubit j + 1's
+    letter (X, Z, or Y for both)."""
+    letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    return np.stack([
+        kron_letters("".join(letters[(k >> j) & 1, (k >> (4 + j)) & 1] for j in range(4)))
+        for k in range(256)])
+
+
+def oracle_pauli_coefficients(m: np.ndarray) -> np.ndarray:
+    """tr(m · P) of the 256 letter-form strings P, complex, by one einsum
+    over their explicit matrices."""
+    return np.einsum("kij,ji->k", oracle_letter_stack(), m)
+
+
 def oracle_sequential_distribution(rho: np.ndarray, labels) -> dict[tuple[int, ...], float]:
     """Joint outcome probabilities via explicit projector sandwiches."""
     dim = rho.shape[0]

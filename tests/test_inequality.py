@@ -136,12 +136,12 @@ class TestOmega:
             omega(DensityState(np.eye(4) / 4))
 
     def test_imaginary_correlator_raises(self):
-        # An anti-Hermitian part within the state's Hermiticity tolerance
-        # per entry still adds up to a correlator imaginary part of 6.4e-10.
+        # An anti-Hermitian part within 1e-10 per entry still gives the BB'
+        # correlator an imaginary part of 6.4e-10, so the state is refused
+        # on construction, before omega could read it.
         bb = oracle_matrix("B") @ oracle_matrix("B'")
-        rho = DensityState(np.eye(16) / 16 + 4e-11j * bb)
-        with pytest.raises(RuntimeError, match="imaginary part"):
-            omega(rho)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityState(np.eye(16) / 16 + 4e-11j * bb)
 
 
 class TestQuantumMaximum:

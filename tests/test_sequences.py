@@ -24,12 +24,13 @@ from bellsquare import (
     four_qubit_state,
     OBSERVABLES,
     omega,
+    pauli_mul,
     sample,
     sample_outcomes,
     sequence_distribution,
     uniform01,
 )
-from bellsquare import sequences, states
+from bellsquare import inequality, pauli, sequences, states
 from bellsquare.sequences import (
     MAX_RECORDS,
     _COUNT_CHUNK,
@@ -146,35 +147,43 @@ class TestSequenceDistribution:
                     for q in paulis[i + 1:]:
                         assert commutes(p, q), (spec, p.label, q.label)
 
-    def test_stacks_are_held(self, monkeypatch):
-        # Once built, the pair stack and each setting's stack are held by
-        # their readers: no later call builds a Pauli matrix again.
+    def test_no_reader_builds_a_matrix(self, monkeypatch):
+        # Every reader looks its values up in the state's coefficients: with
+        # to_matrix refusing everywhere, omega, all 18 settings and
+        # expectation still give what they gave before.
         rho = four_qubit_state(0.9)
         specs = [SequenceSpec(name) for name in SEQUENCE_ORDER]
         specs += [SequenceSpec(t.sequence, t.bob) for t in S_TERMS]
         assert len(specs) == 18
-        first = omega(rho), [sequence_distribution(rho, spec) for spec in specs]
+        observables = list(OBSERVABLES.values())
+        observables += [pauli_mul(OBSERVABLES[t.alice], OBSERVABLES[t.bob]) for t in S_TERMS]
+
+        def read():
+            return (omega(rho), [sequence_distribution(rho, spec).entries for spec in specs],
+                    [expectation(rho, obs) for obs in observables])
+
+        first = read()
 
         def refuse(*args):
-            raise AssertionError("a Pauli stack was rebuilt")
+            raise AssertionError("a reader built a Pauli matrix")
 
-        monkeypatch.setattr(states, "_pauli_stack", refuse)
-        monkeypatch.setattr(states, "to_matrix", refuse)
-        again = omega(rho), [sequence_distribution(rho, spec) for spec in specs]
+        for module in (pauli, states, sequences, inequality):
+            monkeypatch.setattr(module, "to_matrix", refuse, raising=False)
+        monkeypatch.setattr(pauli, "_matrix_cached", refuse)
+        again = read()
+        assert again[0].chi_terms == first[0].chi_terms
         assert again[0].s_terms == first[0].s_terms
-        assert [d.entries for d in again[1]] == [d.entries for d in first[1]]
+        assert again[1:] == first[1:]
 
     def test_imaginary_part_raises(self):
         # The state of TestOmega::test_imaginary_correlator_raises: each
-        # entry is within the Hermiticity tolerance, but tr(ρ·B·B') has an
+        # entry is within 1e-10 of Hermitian, but tr(ρ·B·B') has an
         # imaginary part of 6.4e-10, and the BB' product is a subset
-        # product of this setting.
+        # product of the setting ABC with B'.  The state is refused on
+        # construction, so neither sequence_distribution nor sample sees it.
         bb = oracle_matrix("B") @ oracle_matrix("B'")
-        rho = DensityState(np.eye(16) / 16 + 4e-11j * bb)
-        with pytest.raises(RuntimeError, match="imaginary part"):
-            sequence_distribution(rho, SequenceSpec("ABC", "B'"))
-        with pytest.raises(RuntimeError, match="imaginary part"):
-            sample(rho, SequenceSpec("ABC", "B'"), 10, 7)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityState(np.eye(16) / 16 + 4e-11j * bb)
 
 
 def pair_mean(dist: OutcomeDistribution, position: int) -> float:

@@ -1,9 +1,11 @@
 """Tests for the density-operator engine."""
 
+import math
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bellsquare import (
     DensityState,
@@ -14,7 +16,12 @@ from bellsquare import (
     pauli_mul,
 )
 
-from conftest import oracle_matrix
+from bellsquare.states import HERMITICITY_TOL
+
+from conftest import oracle_letter_stack, oracle_matrix, oracle_pauli_coefficients, seeded_state
+
+# Werner visibilities at which construction is checked bit for bit.
+WERNER_GRID = (0.0, 0.123456789, 0.37, 0.4, 0.9, (math.sqrt(21) - 1) / 4, 1.0)
 
 
 def pair_string(alice_label: str, bob_label: str) -> PauliString:
@@ -75,6 +82,57 @@ class TestDensityState:
 
     def test_repr_omits_matrix(self):
         assert repr(four_qubit_state(0.5)) == "DensityState(16x16)"
+
+
+class TestPauliCoefficients:
+    @pytest.mark.parametrize(
+        "kind, param",
+        [pytest.param("werner", v, id=f"werner-{v:.6g}") for v in WERNER_GRID]
+        + [pytest.param("full_rank", s, id=f"full_rank-{s}") for s in range(60, 70)]
+        + [pytest.param("pure", s, id=f"pure-{s}") for s in range(70, 80)],
+    )
+    def test_match_oracle_bit_for_bit(self, kind, param):
+        rho = seeded_state(kind, param)
+        want = oracle_pauli_coefficients(rho.matrix).real
+        assert rho.coefficients.dtype == np.float64 and rho.coefficients.shape == (256,)
+        assert rho.coefficients.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            rho.coefficients[0] = 0.0
+
+    # The state is a Werner state plus i·t/2·H, H Hermitian with largest
+    # entry 1, so the largest entry of ρ − ρ† is t: a letter-form string
+    # (whose coefficient then moves by 8t), a diagonal projector or a
+    # Hermitian pair of off-diagonal entries.  t reaches twice the
+    # tolerance, so both rules are crossed.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(v=st.floats(0.0, 1.0),
+           direction=st.one_of(
+               st.tuples(st.just("string"), st.integers(0, 255), st.just(0)),
+               st.tuples(st.just("projector"), st.integers(0, 15), st.just(0)),
+               st.tuples(st.sampled_from(["pair", "imaginary pair"]),
+                         st.integers(0, 15), st.integers(1, 15))),
+           t=st.floats(0.0, 2 * HERMITICITY_TOL))
+    # I/16 + 4e-11i·B·B' (B·B' = IZIZ, string 160): 8e-11 per entry, 6.4e-10 in tr(ρ·B·B').
+    @example(v=0.0, direction=("string", 160, 0), t=8e-11)
+    # 1.5e-10 on one diagonal entry, 7.5e-11 in each diagonal string's coefficient.
+    @example(v=0.0, direction=("projector", 0, 0), t=1.5e-10)
+    def test_accepted_states_are_hermitian_within_tolerance(self, v, direction, t):
+        kind, r, offset = direction
+        if kind == "string":
+            h = oracle_letter_stack()[r]
+        else:
+            h = np.zeros((16, 16), dtype=complex)
+            s = r ^ offset
+            h[r, s] = 1j if kind == "imaginary pair" else 1.0
+            h[s, r] = np.conj(h[r, s])
+        m = four_qubit_state(v).matrix + 0.5j * t * h
+        try:
+            rho = DensityState(m)
+        except ValueError as error:
+            assert "Hermitian" in str(error) or "trace" in str(error)
+            return
+        assert np.abs(rho.matrix - rho.matrix.conj().T).max() <= HERMITICITY_TOL
+        assert np.abs(oracle_pauli_coefficients(rho.matrix).imag).max() <= HERMITICITY_TOL
 
 
 # Each singlet sits on two of the four qubits (0-based positions).
@@ -235,12 +293,13 @@ class TestExpectation:
 
 
 def test_four_qubit_state_matches_oracle_construction():
-    # Independent route: permute explicit kron of two pair states.
-    for v in (0.0, 0.4, 1.0):
+    # Independent route: permute explicit kron of two pair states.  Each
+    # entry is the same one product of two pair entries, so the same bits.
+    for v in WERNER_GRID:
         pair = oracle_werner(v)
         big = np.kron(pair, pair).reshape([2] * 8)
         big = big.transpose([0, 2, 1, 3, 4, 6, 5, 7]).reshape(16, 16)
-        assert np.allclose(four_qubit_state(v).matrix, big, atol=1e-14)
+        assert np.array_equal(four_qubit_state(v).matrix, big), v
 
 
 def test_gamma_expectation_matches_oracle(ideal_state):
