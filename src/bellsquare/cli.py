@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -67,6 +68,8 @@ MAX_GRID_POINTS = 100_001
 # The inequality values of a report, in the order that the witness, sample
 # and CSV payloads list them.
 _VALUES = ("chi", "s_abs", "s_signed", "omega_abs", "omega_signed")
+# The keys of a sweep row, in JSON and as CSV columns.
+_SWEEP_COLUMNS = ("visibility", *_VALUES)
 
 
 def _round12(x: float) -> float:
@@ -241,7 +244,7 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
 
 def cmd_sweep(args) -> tuple[dict, bool]:
     result = sweep(args.grid_points)  # parsed once, by _validate
-    rows = [asdict(r) for r in result.rows]
+    rows = [{name: getattr(r, name) for name in _SWEEP_COLUMNS} for r in result.rows]
     chi_measured = result.rows[0].chi
     results = {
         "rows": rows,
@@ -265,10 +268,9 @@ def cmd_sweep(args) -> tuple[dict, bool]:
 def _sweep_csv(results: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    columns = ["visibility", *_VALUES]
-    writer.writerow(columns)
+    writer.writerow(_SWEEP_COLUMNS)
     for row in results["rows"]:
-        writer.writerow([f"{row[c]:.12g}" for c in columns])
+        writer.writerow([f"{row[c]:.12g}" for c in _SWEEP_COLUMNS])
     return buffer.getvalue()
 
 
@@ -315,7 +317,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one;
+    ``parse_args`` returns a fresh namespace each time, so calls share no values."""
     parser = argparse.ArgumentParser(
         prog="bellsquare",
         description="Exact quantum predictions and exhaustive classical bounds "

@@ -59,7 +59,7 @@ from .observables import (
     _checked_int,
 )
 from .pauli import pauli_product
-from .sequences import SequenceSpec, _count_outcomes, derive_seed, sequence_distribution
+from .sequences import SequenceSpec, _count_settings, derive_seed, sequence_distribution
 from .states import DensityState, _check_visibility, _coefficient_index, four_qubit_state
 
 NONCONTEXTUAL_CHI_BOUND = 4.0
@@ -322,8 +322,9 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
     samples each, on sub-streams derived from ``seed`` by setting index.
     Each sequence appears in two settings; its chi term pools the Alice
     outcomes of both.  Only the count of each outcome cell of the
-    SplitMix64 draws is kept, in fixed chunks that cannot change it; a sum
-    of ±1 values is exact, so each estimate is the mean over the shots.
+    SplitMix64 draws is kept, counted for all twelve settings in one pass
+    over fixed chunks of draw indices, which cannot change it; a sum of ±1
+    values is exact, so each estimate is the mean over the shots.
     The exact references are the terms of ``omega(rho)``.  ``shots`` must
     be an integer >= 1 and ``seed`` an integer, else ``ValueError``.
     """
@@ -334,9 +335,10 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
 
     s_estimates: dict[str, TermEstimate] = {}
     pooled: dict[str, list[int]] = {name: [] for name in SEQUENCE_ORDER}
-    for index, term in enumerate(S_TERMS):
-        dist = sequence_distribution(rho, SequenceSpec(term.sequence, term.bob))
-        cells, counts = _count_outcomes(dist, shots, derive_seed(seed, index))
+    counted = _count_settings(
+        [sequence_distribution(rho, SequenceSpec(term.sequence, term.bob)) for term in S_TERMS],
+        [derive_seed(seed, index) for index in range(len(S_TERMS))], shots)
+    for term, (cells, counts) in zip(S_TERMS, counted):
         total = int(counts @ (cells[:, term.position - 1] * cells[:, 3]))
         s_estimates[term.key] = _term_estimate(term.key, exact.s_terms.terms[term.key], total, shots)
         pooled[term.sequence].append(int(counts @ (cells[:, 0] * cells[:, 1] * cells[:, 2])))

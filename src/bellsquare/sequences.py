@@ -36,7 +36,12 @@ when cumulative[i-1] <= u < cumulative[i] (``searchsorted`` with
 draws in cells 0..j is the number with u < cumulative[j]; the cell counts
 are the differences of these threshold tallies.  A setting has at most 8
 cells, so this is at most 7 comparisons per draw, and the counts are
-exactly those of the per-shot picks.
+exactly those of the per-shot picks.  The estimator counts all twelve
+settings in one pass over the draw indices: each chunk's
+``(i + 1) * GOLDEN`` is formed once and each setting adds its own seed,
+and the 53-bit integer of a draw is compared with ``cumulative[j] * 2^53``,
+which orders it exactly as u against cumulative[j] because both scalings
+are powers of two.  ``uniform01`` stays the reference for the stream.
 """
 
 from __future__ import annotations
@@ -237,24 +242,51 @@ def sample_outcomes(
     return np.array(cells, dtype=np.int8)[picks]
 
 
-def _count_outcomes(dist: OutcomeDistribution, shots: int, seed: int):
-    """The cells of ``_inverse_cdf`` as int8 rows, and how often ``sample_outcomes`` draws each.
+def _count_settings(
+    dists: list[OutcomeDistribution], seeds: list[int], shots: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each distribution and its seed, the cells of ``_inverse_cdf`` as int8
+    rows and how often ``sample_outcomes`` draws each in ``shots`` shots.
 
-    ``searchsorted(cumulative, u, side="right")`` picks cell i exactly when
-    cumulative[i-1] <= u < cumulative[i].  The cumulative is non-decreasing,
-    so the draws that land in cells 0..j are those with u < cumulative[j],
-    and each cell's count is a difference of these threshold tallies.  The
-    last entry is 1 and every draw is below it, so only the other (at most
-    7) edges are tallied.
+    One pass over the stream serves every setting: each chunk of
+    ``_COUNT_CHUNK`` draw indices is multiplied by ``GOLDEN`` once, and each
+    setting adds its seed and runs the SplitMix64 finalizer in buffers kept
+    for the whole pass.  A draw is u = k · 2^-53 with k = mix64(...) >> 11,
+    so u < edge exactly when float(k) < edge · 2^53: both scalings are exact
+    powers of two, and k < 2^53 is exact in float64.  Each cell's count is a
+    difference of these threshold tallies; the last cumulative entry is 1
+    and every draw is below it, so only the other (at most 7) edges are
+    tallied.
     """
-    cells, cumulative = _inverse_cdf(dist)
-    edges = cumulative[:-1]
-    tallies = np.zeros(len(edges), dtype=np.int64)
+    tables = [_inverse_cdf(dist) for dist in dists]
+    scaled_edges = [(cumulative[:-1] * 2.0**53).tolist() for _, cumulative in tables]
+    tallies = [np.zeros(len(edges), dtype=np.int64) for edges in scaled_edges]
+    offsets = [np.uint64(seed & _MASK64) for seed in seeds]
+    finalizer = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+                 (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+    size = min(_COUNT_CHUNK, shots)
+    z_buffer, shifted_buffer = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     for start in range(0, shots, _COUNT_CHUNK):
-        draws = uniform01(seed, min(_COUNT_CHUNK, shots - start), start)
-        for j, edge in enumerate(edges):
-            tallies[j] += np.count_nonzero(draws < edge)
-    return np.array(cells, dtype=np.int8), np.diff(tallies, prepend=0, append=shots)
+        count = min(_COUNT_CHUNK, shots - start)
+        counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        counters *= np.uint64(_GOLDEN)
+        z, shifted = z_buffer[:count], shifted_buffer[:count]
+        # Once a setting's finalizer is done, its scratch holds the float draws.
+        draws = shifted.view(np.float64)
+        for offset, edges, tally in zip(offsets, scaled_edges, tallies):
+            np.add(counters, offset, out=z)
+            for shift, multiplier in finalizer:
+                np.right_shift(z, shift, out=shifted)
+                z ^= shifted
+                z *= multiplier
+            np.right_shift(z, np.uint64(31), out=shifted)
+            z ^= shifted
+            z >>= np.uint64(11)
+            draws[:] = z
+            for j, edge in enumerate(edges):
+                tally[j] += np.count_nonzero(draws < edge)
+    return [(np.array(cells, dtype=np.int8), np.diff(tally, prepend=0, append=shots))
+            for (cells, _), tally in zip(tables, tallies)]
 
 
 def sample(rho: DensityState, spec: SequenceSpec, shots: int, seed: int) -> list[ShotRecord]:

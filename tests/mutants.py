@@ -45,6 +45,23 @@ MUTANTS = (
            "probabilities = characters @ np.where(np.array(indices) == 0, 1.0, "
            "rho.coefficients[indices])",
            ("test_sequences.py",)),
+    # The estimator's counter reads draw i - 1 of the stream where it should
+    # read draw i, so its counts drift from the sampled rows.
+    Mutant("counter stream offset start + 1 read as start", "sequences.py",
+           "counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)",
+           "counters = np.arange(start, start + count, dtype=np.uint64)",
+           ("test_sequences.py",)),
+    # A draw equal to an edge is tallied below it; searchsorted(side="right")
+    # puts it in the cell above.
+    Mutant("counter tallies draws on an edge below it", "sequences.py",
+           "tally[j] += np.count_nonzero(draws < edge)",
+           "tally[j] += np.count_nonzero(draws <= edge)",
+           ("test_sequences.py",)),
+    # The counter's own SplitMix64 finalizer drifts from uniform01's.
+    Mutant("changed SplitMix64 multiplier in the counter only", "sequences.py",
+           "np.uint64(0xBF58476D1CE4E5B9)",
+           "np.uint64(0xBF58476D1CE4E5B7)",
+           ("test_sequences.py",)),
     # The incremental scan skips every update into block 251 of 2^24.
     Mutant("scan skips the update into block 251", "hv_models.py",
            "if _block_sign(start ^ (start - _BLOCK), high) < 0:",

@@ -261,6 +261,66 @@ class TestSweep:
         assert grid == [i * 1e-14 for i in range(10)] + [1e-13]
 
 
+class TestParserReuse:
+    # quantum, sweep, a usage error, --version and quantum again, in one process.
+    CALLS = [
+        ["quantum", "--visibility", "0.3"],
+        ["sweep", "--grid", "0.85:0.95:0.05"],
+        ["quantum", "--visibility", "1.5"],
+        ["--version"],
+        ["quantum", "--visibility", "0.9"],
+    ]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        """Exit code, stdout (a report without ``elapsed_seconds``) and stderr of one call."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out = strip_timing(strict_loads(captured.out)) if captured.out.startswith("{") else captured.out
+        return code, out, captured.err
+
+    def test_calls_in_one_process_match_lone_calls(self, capsys):
+        in_turn = [self.outcome(argv, capsys) for argv in self.CALLS]
+        lone = []
+        for argv in self.CALLS:
+            bellsquare.cli._build_parser.cache_clear()  # as in a fresh process
+            lone.append(self.outcome(argv, capsys))
+        assert in_turn == lone
+        assert [code for code, _, _ in in_turn] == [0, 0, 2, 0, 0]
+        assert in_turn[3][1] == f"bellsquare {bellsquare.__version__}\n"
+
+    def test_parser_built_once(self):
+        assert bellsquare.cli._build_parser() is bellsquare.cli._build_parser()
+
+    def test_no_namespace_value_carries_over(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(command):
+            def run(args):
+                seen.append(vars(args).copy())
+                return command(args)
+            return run
+
+        for name in ("sweep", "quantum"):
+            monkeypatch.setitem(bellsquare.cli._COMMANDS, name, spy(bellsquare.cli._COMMANDS[name]))
+        for argv in (["sweep", "--grid", "0.85:0.95:0.05", "--chi-expt", "5.3"],
+                     ["quantum", "--visibility", "0.9"],
+                     ["sweep", "--grid", "0:1:0.5"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        output = {"format": "json", "out": None}
+        assert seen == [
+            {"command": "sweep", "grid": "0.85:0.95:0.05", "chi_expt": 5.3, **output,
+             "grid_points": [0.85, 0.9, 0.95]},
+            {"command": "quantum", "visibility": 0.9, **output},
+            {"command": "sweep", "grid": "0:1:0.5", "chi_expt": None, **output,
+             "grid_points": [0.0, 0.5, 1.0]},
+        ]
+
+
 class TestOutputRouting:
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

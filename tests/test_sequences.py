@@ -34,7 +34,7 @@ from bellsquare import inequality, pauli, sequences, states
 from bellsquare.sequences import (
     MAX_RECORDS,
     _COUNT_CHUNK,
-    _count_outcomes,
+    _count_settings,
     _inverse_cdf,
     _mix64,
 )
@@ -489,18 +489,12 @@ class TestInverseCdf:
         assert cumulative.tolist() == [0.5, 0.5, 1.0]
 
 
-class TestSamplerProperties:
-    @PROPERTY
-    @given(index=st.integers(0, len(S_TERMS) - 1), seed=st.integers(0, 2**64 - 1),
-           shots=st.integers(1, 3 * _COUNT_CHUNK + 7), state=st.sampled_from(SAMPLER_STATES))
-    @example(index=0, seed=0, shots=_COUNT_CHUNK - 1, state=SAMPLER_STATES[0])
-    @example(index=3, seed=1, shots=_COUNT_CHUNK, state=SAMPLER_STATES[1])
-    @example(index=11, seed=2**64 - 1, shots=2 * _COUNT_CHUNK + 1, state=SAMPLER_STATES[2])
-    @example(index=0, seed=4, shots=_COUNT_CHUNK + 3, state=SAMPLER_STATES[3])
-    def test_counts_match_sampled_rows(self, index, seed, shots, state):
-        # Chunked counts are the cell counts of the per-shot rows.
-        dist = setting_distribution(index, state)
-        table, counts = _count_outcomes(dist, shots, seed)
+def assert_counts_match_picks(dists, seeds, shots):
+    """The counts of one pass over the stream are, for every setting, the
+    cell counts of the rows ``sample_outcomes`` draws with that setting's seed."""
+    counted = _count_settings(dists, seeds, shots)
+    assert len(counted) == len(dists)
+    for dist, seed, (table, counts) in zip(dists, seeds, counted):
         assert table.tolist() == [list(cell) for cell in sorted(dist.entries)]
         # Recover each row's pick (its cell's place in the table) from the
         # bit pattern of its -1 entries.
@@ -510,6 +504,49 @@ class TestSamplerProperties:
         picks = place[(sample_outcomes(dist, shots, seed) < 0) @ weights]
         assert picks.min() >= 0
         assert np.array_equal(counts, np.bincount(picks, minlength=len(table)))
+
+
+class TestSamplerProperties:
+    @PROPERTY
+    @given(seed=st.integers(-2**64, 2**64 - 1), shots=st.integers(1, 3 * _COUNT_CHUNK + 7),
+           state=st.sampled_from(SAMPLER_STATES))
+    @example(seed=0, shots=_COUNT_CHUNK - 1, state=SAMPLER_STATES[0])
+    @example(seed=1, shots=_COUNT_CHUNK, state=SAMPLER_STATES[1])
+    @example(seed=2**64 - 1, shots=2 * _COUNT_CHUNK + 1, state=SAMPLER_STATES[2])
+    @example(seed=4, shots=_COUNT_CHUNK + 3, state=SAMPLER_STATES[3])
+    @example(seed=-1, shots=1, state=SAMPLER_STATES[0])
+    @example(seed=2**64 - 1, shots=1, state=SAMPLER_STATES[3])
+    def test_counts_match_sampled_rows(self, seed, shots, state):
+        # All twelve settings in one chunked pass; consecutive seeds, so the
+        # seeds -1 and 2^64 - 1 cross the wrap of the 64-bit seed.
+        dists = [setting_distribution(index, state) for index in range(len(S_TERMS))]
+        assert_counts_match_picks(dists, [seed + index for index in range(len(dists))], shots)
+
+    def test_inner_edge_at_one(self):
+        # Near the trace edge the clamped cumulative reaches 1.0 before its
+        # last entry: every draw lies below that inner edge.
+        dists = [setting_distribution(index, ("trace_edge", 1e-10)) for index in range(len(S_TERMS))]
+        assert any(1.0 in _inverse_cdf(dist)[1][:-1] for dist in dists)
+        assert_counts_match_picks(dists, list(range(len(dists))), _COUNT_CHUNK + 5)
+
+    def test_draw_exactly_on_an_edge(self):
+        # side="right": a draw equal to cumulative[0] goes to the cell above it.
+        draw = float(uniform01(5, 1)[0])
+        dist = OutcomeDistribution(SequenceSpec("ABC"), {(-1, 1, -1): draw, (1, -1, -1): 1 - draw})
+        assert _inverse_cdf(dist)[1][0] == draw
+        assert_counts_match_picks([dist], [5], 1)
+        assert _count_settings([dist], [5], 1)[0][1].tolist() == [0, 1]
+
+    def test_subnormal_edge(self):
+        # The counter compares each draw's 53-bit integer with edge · 2^53;
+        # a subnormal edge scales exactly, and only the draw 0 lies below it.
+        edge = 3 * 2.0**-1074
+        dist = OutcomeDistribution(SequenceSpec("ABC"),
+                                   {(-1, -1, 1): edge, (-1, 1, -1): 0.25, (1, -1, -1): 0.75})
+        cumulative = _inverse_cdf(dist)[1]
+        assert 0.0 < cumulative[0] < np.finfo(np.float64).tiny
+        assert (cumulative[0] * 2.0**53) * 2.0**-53 == cumulative[0]
+        assert_counts_match_picks([dist, setting_distribution(0)], [9, 10], 1000)
 
     @PROPERTY
     @given(index=st.integers(0, len(S_TERMS) - 1), seed=st.integers(0, 2**64 - 1),
