@@ -40,9 +40,10 @@ block-number bits flip, each in about two terms.  Every model's omega is
 still computed.  The kernel returns the maximum with its lowest
 attaining indices; every bound is a call of it.  Partitioned scans merge
 deterministically (global max, lowest witness index), so results are
-bit-identical for any worker count, and the process pool never gets more
-workers than the machine has CPUs.  Every scan returns a ``BoundResult``;
-the 2^24 scan decodes no witnesses, so its ``argmax_models`` is empty.
+bit-identical for any partition count.  The partitions are scanned one
+after another in this process, and there are never more of them than the
+machine has CPUs.  Every scan returns a ``BoundResult``; the 2^24 scan
+decodes no witnesses, so its ``argmax_models`` is empty.
 The chain inequality needs no scan: it is checked on the 192 cases that
 every model reduces to (see ``chain_inequality_scan``).
 """
@@ -51,9 +52,10 @@ from __future__ import annotations
 
 import math
 import os
+# Not used here: kept only because bench/tracer.py rebinds this name.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import product
 from typing import Mapping, NamedTuple
 
@@ -384,9 +386,9 @@ def local_omega_bound(
 
     Args:
         variant: ``"signed"`` or ``"abs"``.
-        workers: Number of parallel scan partitions, at most
-            ``os.cpu_count()`` (larger values are clamped); results are
-            bit-identical for any value.
+        workers: Number of scan partitions, at most ``os.cpu_count()``
+            (larger values are clamped), scanned one after another in this
+            process; results are bit-identical for any value.
         max_witnesses: How many lowest-index maximizing models to decode.
 
     Raises:
@@ -398,13 +400,7 @@ def local_omega_bound(
     workers = min(_checked_int("workers", workers, 1), os.cpu_count() or 1)
     max_witnesses = _checked_int("max_witnesses", max_witnesses, 1)
     edges = [(N_MODELS * k) // workers for k in range(workers + 1)]
-    scan = partial(_scan, _CONSTRAINED, variant)
-    if workers == 1:
-        parts = [scan(0, N_MODELS)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, edges[:-1], edges[1:]))
-
+    parts = [_scan(_CONSTRAINED, variant, lo, hi) for lo, hi in zip(edges, edges[1:])]
     best, found = _merge(parts, 1)
     if max_witnesses > 1:
         found = _indices_attaining(best, variant, max_witnesses)

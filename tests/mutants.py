@@ -67,6 +67,13 @@ MUTANTS = (
            "if _block_sign(start ^ (start - _BLOCK), high) < 0:",
            "if _block_sign(start ^ (start - _BLOCK), high) < 0 and start != 251 * _BLOCK:",
            ("test_hv_models.py",)),
+    # A tie between partitions keeps the highest witnesses, so a partitioned
+    # scan no longer returns the serial scan's lowest ones.
+    Mutant("merge keeps the highest tied witnesses", "hv_models.py",
+           "sorted(i for value, found in parts if value == best for i in found)[:count]",
+           "sorted((i for value, found in parts if value == best for i in found), "
+           "reverse=True)[:count]",
+           ("test_hv_models.py",)),
     # The first-measurement assignment reads B through C' and C through B'.
     Mutant("first-measurement relabelling swaps two partners", "hv_models.py",
            """label: f"{label}'" if label in PAIR_SIGNS else label""",

@@ -256,8 +256,17 @@ class TestLocalOmegaBound:
         with pytest.raises(ValueError):
             local_omega_bound("plain")
 
-    def test_workers_bit_identical(self):
-        results = [local_omega_bound("signed", workers=w) for w in (1, 2, 3)]
+    @staticmethod
+    def _refuse_pools(monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("local_omega_bound started a process pool")
+
+        monkeypatch.setattr(hv_models, "ProcessPoolExecutor", no_pool)
+
+    def test_workers_bit_identical(self, monkeypatch):
+        self._refuse_pools(monkeypatch)
+        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: 64)
+        results = [local_omega_bound("signed", workers=w) for w in (1, 2, 3, 8, 64)]
         assert len({r.max_value for r in results}) == 1
         assert len({encode_model(r.argmax_models[0]) for r in results}) == 1
 
@@ -294,27 +303,30 @@ class TestLocalOmegaBound:
         with pytest.raises(ValueError, match="max_witnesses"):
             noncontextual_chi_bound(max_witnesses=bad)
 
-    @pytest.mark.parametrize("cpus, pool_sizes", [(3, [3]), (None, [])])
-    def test_pool_clamped_to_cpu_count(self, monkeypatch, cpus, pool_sizes):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(hv_models, "ProcessPoolExecutor", RecordingPool)
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_no_process_pool_started(self, monkeypatch, cpus):
+        self._refuse_pools(monkeypatch)
         monkeypatch.setattr(hv_models.os, "cpu_count", lambda: cpus)
         result = local_omega_bound("signed", workers=64)
-        assert started == pool_sizes
+        assert result.max_value == 16.0
+        assert [encode_model(m) for m in result.argmax_models] == [2603]
+
+    @pytest.mark.parametrize("cpus, workers, partitions",
+                             [(3, 64, 3), (None, 64, 1), (3, 10**12, 3), (None, 10**12, 1)])
+    def test_partitions_clamped_to_cpu_count(self, monkeypatch, cpus, workers, partitions):
+        scanned = []
+
+        def counting_scan(layout, variant, lo, hi, count=1):
+            scanned.append((lo, hi))
+            return _scan(layout, variant, lo, hi, count)
+
+        monkeypatch.setattr(hv_models, "_scan", counting_scan)
+        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: cpus)
+        result = local_omega_bound("signed", workers=workers)
+        assert len(scanned) == partitions
+        # The partitions tile [0, N_MODELS) in order.
+        assert [lo for lo, _ in scanned] == [0] + [hi for _, hi in scanned[:-1]]
+        assert scanned[-1][1] == N_MODELS
         assert result.max_value == 16.0
         assert [encode_model(m) for m in result.argmax_models] == [2603]
 
