@@ -38,11 +38,14 @@ derived from the block before it: only the terms whose block sign flips
 change, each by twice its table, and from one block to the next about two
 block-number bits flip, each in about two terms.  Every model's omega is
 still computed.  The kernel returns the maximum with its lowest
-attaining indices; every bound is a call of it.  Partitioned scans merge
-deterministically (global max, lowest witness index), so results are
+attaining indices.  One routine, ``_bound``, builds every bound from it:
+it splits a layout's models into partitions, scans each once for its
+maximum and its own lowest witnesses, merges them deterministically
+(global max, lowest witness indices) and decodes the witnesses.  So no
+model is scanned twice, whatever the witness count, and results are
 bit-identical for any partition count.  The partitions are scanned one
 after another in this process, and there are never more of them than the
-machine has CPUs.  Every scan returns a ``BoundResult``; the 2^24 scan
+machine has CPUs.  Every bound is a ``BoundResult``; the 2^24 scan
 decodes no witnesses, so its ``argmax_models`` is empty.
 The chain inequality needs no scan: it is checked on the 192 cases that
 every model reduces to (see ``chain_inequality_scan``).
@@ -106,8 +109,8 @@ def _layout(bit: Mapping, s_terms=S_TERMS) -> _Layout:
 # bits 3-14 slot 2 and slot 3 of each sequence in SEQUENCE_ORDER; bits
 # 15-20 Bob outcomes in BOB_LABELS order.
 _MODEL_BIT = {
-    **{(seq, 1): SEQUENCE_LEADERS.index(SEQUENCES[seq][0]) for seq in SEQUENCE_ORDER},
-    **{(seq, pos): 3 + 2 * i + (pos - 2) for i, seq in enumerate(SEQUENCE_ORDER) for pos in (2, 3)},
+    **{(seq, pos): SEQUENCE_LEADERS.index(SEQUENCES[seq][0]) if pos == 1 else 3 + 2 * i + (pos - 2)
+       for i, seq in enumerate(SEQUENCE_ORDER) for pos in (1, 2, 3)},
     **{label: 15 + j for j, label in enumerate(BOB_LABELS)},
 }
 # No leader sharing: bits 0-17 the three slots of each sequence, 18-23 Bob.
@@ -120,6 +123,17 @@ _RELAXED = _layout(_RELAXED_BIT)
 N_MODEL_BITS = _CONSTRAINED.n_bits
 N_MODELS = 1 << N_MODEL_BITS
 N_RELAXED_MODELS = 1 << _RELAXED.n_bits
+
+_FIRST_MEASUREMENT_LABELS = SEQUENCE_LEADERS + BOB_LABELS
+# The two key sets a context-free assignment may have, each mapped to the
+# key every Alice label reads: the label itself, or, for first-measurement
+# values, its Bob partner (the leaders A, b, γ keep their labels).
+_RELABEL = {
+    frozenset(ALICE_LABELS): {label: label for label in ALICE_LABELS},
+    frozenset(_FIRST_MEASUREMENT_LABELS): {
+        label: f"{label}'" if label in PAIR_SIGNS else label for label in ALICE_LABELS
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -134,29 +148,18 @@ class NoncontextualAssignment:
     values: Mapping[str, int]
 
     def __post_init__(self):
-        keys = frozenset(self.values)
-        if keys not in (_ALICE_KEYSET, _FIRST_MEASUREMENT_KEYSET):
-            raise ValueError(f"unexpected assignment labels {sorted(keys)}")
+        if frozenset(self.values) not in _RELABEL:
+            raise ValueError(f"unexpected assignment labels {sorted(self.values)}")
         if not all(map(_is_sign, self.values.values())):
             raise ValueError("assignment values must be ±1")
 
     def chi(self) -> int:
         """The six-term expression with context-free products."""
-        relabel = _IDENTITY_RELABEL if frozenset(self.values) == _ALICE_KEYSET else _BOB_SIDE_RELABEL
+        relabel = _RELABEL[frozenset(self.values)]
         return ChiTerms({
             seq: math.prod(self.values[relabel[label]] for label in SEQUENCES[seq])
             for seq in SEQUENCE_ORDER
         }).chi
-
-
-_ALICE_KEYSET = frozenset(ALICE_LABELS)
-_IDENTITY_RELABEL = {label: label for label in ALICE_LABELS}
-_FIRST_MEASUREMENT_LABELS = SEQUENCE_LEADERS + BOB_LABELS
-_FIRST_MEASUREMENT_KEYSET = frozenset(_FIRST_MEASUREMENT_LABELS)
-# Paired observables read through their Bob partners, leaders kept as-is.
-_BOB_SIDE_RELABEL = {
-    label: f"{label}'" if label in PAIR_SIGNS else label for label in ALICE_LABELS
-}
 
 
 @dataclass(frozen=True)
@@ -173,23 +176,19 @@ class HVModel:
     bob: Mapping[str, int]
 
     def __post_init__(self):
-        expected = {(seq, pos) for seq in SEQUENCE_ORDER for pos in (1, 2, 3)}
-        if set(self.alice) != expected:
+        if set(self.alice) != _MODEL_BIT.keys() - set(BOB_LABELS):
             raise ValueError("alice table must cover all 6 sequences x 3 positions")
         if set(self.bob) != set(BOB_LABELS):
             raise ValueError(f"bob table must cover {BOB_LABELS}")
         values = list(self.alice.values()) + list(self.bob.values())
         if not all(map(_is_sign, values)):
             raise ValueError("outcomes must be ±1")
-        for leader in SEQUENCE_LEADERS:
-            firsts = {
-                self.alice[seq, 1]
-                for seq in SEQUENCE_ORDER
-                if SEQUENCES[seq][0] == leader
-            }
-            if len(firsts) != 1:
+        # The two slots of a leader share one bit, so they must agree.
+        shared = {}
+        for slot, value in self.alice.items():
+            if shared.setdefault(_MODEL_BIT[slot], value) != value:
                 raise ValueError(
-                    f"leader {leader} must take a single first-position value"
+                    f"leader {SEQUENCES[slot[0]][0]} must take a single first-position value"
                 )
 
 
@@ -207,28 +206,15 @@ def decode_model(index: int) -> HVModel:
     """Model for a 21-bit index (bit value 0 is outcome +1, 1 is -1)."""
     index = _checked_int("index", index, 0, N_MODELS)
 
-    def sign(bit: int) -> int:
-        return 1 - 2 * ((index >> bit) & 1)
-
-    alice = {
-        (seq, pos): sign(_MODEL_BIT[seq, pos])
-        for seq in SEQUENCE_ORDER
-        for pos in (1, 2, 3)
-    }
-    bob = {label: sign(_MODEL_BIT[label]) for label in BOB_LABELS}
+    alice = {key: 1 - 2 * ((index >> bit) & 1) for key, bit in _MODEL_BIT.items()}
+    bob = {label: alice.pop(label) for label in BOB_LABELS}
     return HVModel(alice=alice, bob=bob)
 
 
 def encode_model(model: HVModel) -> int:
-    index = 0
-    for seq in SEQUENCE_ORDER:
-        for pos in (1, 2, 3):
-            if model.alice[seq, pos] == -1:
-                index |= 1 << _MODEL_BIT[seq, pos]
-    for label in BOB_LABELS:
-        if model.bob[label] == -1:
-            index |= 1 << _MODEL_BIT[label]
-    return index
+    values = {**model.alice, **model.bob}
+    # A set: the two slots of a leader share one bit, which counts once.
+    return sum({1 << bit for key, bit in _MODEL_BIT.items() if values[key] == -1})
 
 
 @dataclass(frozen=True)
@@ -243,7 +229,7 @@ class BoundResult:
 
 def _context_free_layout(labels) -> _Layout:
     """Layout of the 2^9 context-free assignments; bit j is ``labels[j]``."""
-    relabel = _IDENTITY_RELABEL if frozenset(labels) == _ALICE_KEYSET else _BOB_SIDE_RELABEL
+    relabel = _RELABEL[frozenset(labels)]
     bit = {
         (seq, pos): labels.index(relabel[member])
         for seq in SEQUENCE_ORDER
@@ -252,23 +238,14 @@ def _context_free_layout(labels) -> _Layout:
     return _layout(bit, s_terms=())
 
 
-def _context_free_bound(variant: str, labels, max_witnesses: int) -> BoundResult:
-    max_witnesses = _checked_int("max_witnesses", max_witnesses, 1)
-    layout = _context_free_layout(labels)
-    n_models = 1 << layout.n_bits
-    best, found = _scan(layout, "signed", 0, n_models, max_witnesses)
-    witnesses = tuple(
-        NoncontextualAssignment(
-            values={label: 1 - 2 * ((i >> j) & 1) for j, label in enumerate(labels)}
+def _context_free_bound(name: str, labels, max_witnesses: int) -> BoundResult:
+    def decode(index: int) -> NoncontextualAssignment:
+        return NoncontextualAssignment(
+            values={label: 1 - 2 * ((index >> j) & 1) for j, label in enumerate(labels)}
         )
-        for i in found
-    )
-    return BoundResult(
-        variant=variant,
-        max_value=float(best),
-        argmax_models=witnesses,
-        models_scanned=n_models,
-    )
+
+    max_witnesses = _checked_int("max_witnesses", max_witnesses, 1)
+    return _bound(_context_free_layout(labels), "signed", name, max_witnesses, decode)
 
 
 def noncontextual_chi_bound(max_witnesses: int = 4) -> BoundResult:
@@ -379,6 +356,33 @@ def _scan(layout: _Layout, variant: str, lo: int, hi: int, count: int = 1):
     return best, found
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in ("signed", "abs"):
+        raise ValueError(f"variant must be 'signed' or 'abs', got {variant!r}")
+
+
+def _bound(layout: _Layout, variant: str, name: str, count: int, decode,
+           partitions: int = 1) -> BoundResult:
+    """Max omega over every model of ``layout``, labelled ``name``, with its
+    ``count`` lowest attaining indices decoded by ``decode``.
+
+    The models are split into ``partitions`` consecutive ranges, each
+    scanned once for its own maximum and witnesses; ``_merge`` keeps the
+    global maximum and the lowest witnesses, so the result is the same
+    for any partition count.
+    """
+    n_models = 1 << layout.n_bits
+    edges = [(n_models * k) // partitions for k in range(partitions + 1)]
+    parts = [_scan(layout, variant, lo, hi, count) for lo, hi in zip(edges, edges[1:])]
+    best, found = _merge(parts, count)
+    return BoundResult(
+        variant=name,
+        max_value=float(best),
+        argmax_models=tuple(map(decode, found)),
+        models_scanned=n_models,
+    )
+
+
 def local_omega_bound(
     variant: str = "signed", workers: int = 1, max_witnesses: int = 1
 ) -> BoundResult:
@@ -390,28 +394,21 @@ def local_omega_bound(
             (larger values are clamped), scanned one after another in this
             process; results are bit-identical for any value.
         max_witnesses: How many lowest-index maximizing models to decode.
+            Each partition keeps its own lowest ones in the same pass, and
+            the merge keeps the lowest of those, so the models are scanned
+            once for any count.
 
     Raises:
         ValueError: On an unknown variant, or if ``workers`` or
             ``max_witnesses`` is not an integer >= 1.
     """
-    if variant not in ("signed", "abs"):
-        raise ValueError(f"variant must be 'signed' or 'abs', got {variant!r}")
+    _check_variant(variant)
     workers = min(_checked_int("workers", workers, 1), os.cpu_count() or 1)
     max_witnesses = _checked_int("max_witnesses", max_witnesses, 1)
-    edges = [(N_MODELS * k) // workers for k in range(workers + 1)]
-    parts = [_scan(_CONSTRAINED, variant, lo, hi) for lo, hi in zip(edges, edges[1:])]
-    best, found = _merge(parts, 1)
-    if max_witnesses > 1:
-        found = _indices_attaining(best, variant, max_witnesses)
-    return BoundResult(
-        variant=variant,
-        max_value=float(best),
-        argmax_models=tuple(decode_model(i) for i in found),
-        models_scanned=N_MODELS,
-    )
+    return _bound(_CONSTRAINED, variant, variant, max_witnesses, decode_model, workers)
 
 
+# Not called here: kept only because bench/tracer.py binds this name.
 def _indices_attaining(target: int, variant: str, count: int) -> list[int]:
     """The ``count`` lowest model indices attaining the maximum ``target``."""
     best, found = _scan(_CONSTRAINED, variant, 0, N_MODELS, count)
@@ -429,15 +426,8 @@ def relaxed_omega_scan(variant: str = "signed") -> BoundResult:
     rises to the quantum value 18.  No witnesses are decoded
     (``argmax_models`` is empty): the 24-bit indices are not ``HVModel``s.
     """
-    if variant not in ("signed", "abs"):
-        raise ValueError(f"variant must be 'signed' or 'abs', got {variant!r}")
-    best, _ = _scan(_RELAXED, variant, 0, N_RELAXED_MODELS)
-    return BoundResult(
-        variant=variant,
-        max_value=float(best),
-        argmax_models=(),
-        models_scanned=N_RELAXED_MODELS,
-    )
+    _check_variant(variant)
+    return _bound(_RELAXED, variant, variant, 0, None)
 
 
 @dataclass(frozen=True)

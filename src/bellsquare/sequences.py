@@ -180,6 +180,26 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# The SplitMix64 finalizer's (shift, multiplier) steps as numpy scalars,
+# built once for ``_draw_bits``.
+_MIX64_STEPS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+                (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_MIX64_LAST_SHIFT, _DRAW_SHIFT = np.uint64(31), np.uint64(11)
+
+
+def _draw_bits(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Replace each uint64 counter in ``z`` by ``_mix64(z) >> 11``, the
+    53-bit integer of its draw, in place; ``scratch`` is a uint64 buffer
+    of the same length whose contents are overwritten."""
+    for shift, multiplier in _MIX64_STEPS:
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= multiplier
+    np.right_shift(z, _MIX64_LAST_SHIFT, out=scratch)
+    z ^= scratch
+    z >>= _DRAW_SHIFT
+
+
 def derive_seed(seed: int, *indices: int) -> int:
     """Fold sub-stream indices (integers in [0, 2**64)) into a base seed; stable across releases."""
     state = _checked_int("seed", seed) & _MASK64
@@ -198,14 +218,7 @@ def uniform01(seed: int, count: int, start: int = 0) -> np.ndarray:
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(seed & _MASK64)
-    shifted = np.empty_like(z)
-    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        np.right_shift(z, np.uint64(shift), out=shifted)
-        z ^= shifted
-        z *= np.uint64(multiplier)
-    np.right_shift(z, np.uint64(31), out=shifted)
-    z ^= shifted
-    z >>= np.uint64(11)
+    _draw_bits(z, np.empty_like(z))
     out = z.astype(np.float64)
     out *= 2.0**-53
     return out
@@ -250,7 +263,7 @@ def _count_settings(
 
     One pass over the stream serves every setting: each chunk of
     ``_COUNT_CHUNK`` draw indices is multiplied by ``GOLDEN`` once, and each
-    setting adds its seed and runs the SplitMix64 finalizer in buffers kept
+    setting adds its seed and runs ``_draw_bits`` in buffers kept
     for the whole pass.  A draw is u = k · 2^-53 with k = mix64(...) >> 11,
     so u < edge exactly when float(k) < edge · 2^53: both scalings are exact
     powers of two, and k < 2^53 is exact in float64.  Each cell's count is a
@@ -262,8 +275,6 @@ def _count_settings(
     scaled_edges = [(cumulative[:-1] * 2.0**53).tolist() for _, cumulative in tables]
     tallies = [np.zeros(len(edges), dtype=np.int64) for edges in scaled_edges]
     offsets = [np.uint64(seed & _MASK64) for seed in seeds]
-    finalizer = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
-                 (np.uint64(27), np.uint64(0x94D049BB133111EB)))
     size = min(_COUNT_CHUNK, shots)
     z_buffer, shifted_buffer = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     for start in range(0, shots, _COUNT_CHUNK):
@@ -275,13 +286,7 @@ def _count_settings(
         draws = shifted.view(np.float64)
         for offset, edges, tally in zip(offsets, scaled_edges, tallies):
             np.add(counters, offset, out=z)
-            for shift, multiplier in finalizer:
-                np.right_shift(z, shift, out=shifted)
-                z ^= shifted
-                z *= multiplier
-            np.right_shift(z, np.uint64(31), out=shifted)
-            z ^= shifted
-            z >>= np.uint64(11)
+            _draw_bits(z, shifted)
             draws[:] = z
             for j, edge in enumerate(edges):
                 tally[j] += np.count_nonzero(draws < edge)

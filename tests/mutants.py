@@ -57,8 +57,9 @@ MUTANTS = (
            "tally[j] += np.count_nonzero(draws < edge)",
            "tally[j] += np.count_nonzero(draws <= edge)",
            ("test_sequences.py",)),
-    # The counter's own SplitMix64 finalizer drifts from uniform01's.
-    Mutant("changed SplitMix64 multiplier in the counter only", "sequences.py",
+    # The vectorised SplitMix64 finalizer that uniform01 and the counter
+    # share drifts from the scalar _mix64.
+    Mutant("changed SplitMix64 multiplier in the shared vectorised finalizer", "sequences.py",
            "np.uint64(0xBF58476D1CE4E5B9)",
            "np.uint64(0xBF58476D1CE4E5B7)",
            ("test_sequences.py",)),
@@ -66,6 +67,12 @@ MUTANTS = (
     Mutant("scan skips the update into block 251", "hv_models.py",
            "if _block_sign(start ^ (start - _BLOCK), high) < 0:",
            "if _block_sign(start ^ (start - _BLOCK), high) < 0 and start != 251 * _BLOCK:",
+           ("test_hv_models.py",)),
+    # Each partition is scanned for one witness only, so a bound with more
+    # than one witness returns too few.
+    Mutant("partitions scanned for one witness each", "hv_models.py",
+           "_scan(layout, variant, lo, hi, count)",
+           "_scan(layout, variant, lo, hi)",
            ("test_hv_models.py",)),
     # A tie between partitions keeps the highest witnesses, so a partitioned
     # scan no longer returns the serial scan's lowest ones.

@@ -336,6 +336,25 @@ class TestLocalOmegaBound:
         values = [evaluate_model(w).omega_signed for w in result.argmax_models]
         assert values == [16, 16, 16]
 
+    @pytest.mark.parametrize("variant", ["signed", "abs"])
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_partitioned_witnesses_match_oracle(self, monkeypatch, variant, count):
+        # Every partition returns its own witnesses from its one pass.
+        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: 8)
+        best, expected = oracle_scan(_CONSTRAINED, variant, 0, N_MODELS, count)
+        for workers in (1, 2, 3, 8):
+            result = local_omega_bound(variant, workers=workers, max_witnesses=count)
+            assert result.max_value == best
+            assert [encode_model(m) for m in result.argmax_models] == expected
+
+    def test_every_optimal_signed_model_returned(self, monkeypatch):
+        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: 8)
+        result = local_omega_bound("signed", workers=3, max_witnesses=1000)
+        indices = [encode_model(m) for m in result.argmax_models]
+        # 96 frustrated cases x 3 (TestParityCertificate), in index order.
+        assert len(indices) == 288 and indices == sorted(set(indices))
+        assert all(evaluate_model(m).omega_signed == 16 for m in result.argmax_models)
+
     def test_scan_runtime_single_threaded(self):
         start = time.perf_counter()
         local_omega_bound("signed")
