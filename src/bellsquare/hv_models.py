@@ -31,22 +31,25 @@ chi and S terms as ``(sign, bit positions)`` pairs, so every term is
 sign * (-1)^(XOR of its bits).  One kernel evaluates any layout over an
 index range in blocks of 2^16 models.  An index splits into a block number
 (bits 16 and up) and a 16-bit offset; the term's offset bits select an
-int8 ±1 parity table over the 2^16 offsets, built on first use and cached,
-and its block bits fold into one ±1 per block.  The first block of a range
-sums every term's table, signed by the block number.  Each later block is
-derived from the block before it: only the terms whose block sign flips
-change, each by twice its table, and from one block to the next about two
-block-number bits flip, each in about two terms.  Every model's omega is
-still computed.  The kernel returns the maximum with its lowest
-attaining indices.  One routine, ``_bound``, builds every bound from it:
-it splits a layout's models into partitions, scans each once for its
-maximum and its own lowest witnesses, merges them deterministically
-(global max, lowest witness indices) and decodes the witnesses.  So no
-model is scanned twice, whatever the witness count, and results are
-bit-identical for any partition count.  The partitions are scanned one
-after another in this process, and there are never more of them than the
-machine has CPUs.  Every bound is a ``BoundResult``; the 2^24 scan
-decodes no witnesses, so its ``argmax_models`` is empty.
+int8 ±1 parity table over the 2^16 offsets (over the 2^9 models of the
+context-free layouts), built on first use and cached, and its block bits
+fold into one ±1 per block.  The first block of a range sums every term's
+table, signed by the block number.  Each later block is the block before
+it plus one step delta: only the terms whose block sign flips change,
+each by twice its table towards its new sign, and the step sums them into
+one int8 delta, cached by the flipped terms' directions and offset bits
+(26 distinct steps over the four full scans).  So each block costs one
+add.  A step that flips no term yields the previous block again and keeps
+its maximum.  Every model's omega is still computed.  The kernel returns
+the maximum with its lowest attaining indices.  One routine, ``_bound``,
+builds every bound from it: it splits a layout's models into partitions,
+scans each once for its maximum and its own lowest witnesses, merges them
+deterministically (global max, lowest witness indices) and decodes the
+witnesses.  So no model is scanned twice, whatever the witness count, and
+results are bit-identical for any partition count.  The partitions are
+scanned one after another in this process, and there are never more of
+them than the machine has CPUs.  Every bound is a ``BoundResult``; the
+2^24 scan decodes no witnesses, so its ``argmax_models`` is empty.
 The chain inequality needs no scan: it is checked on the 192 cases that
 every model reduces to (see ``chain_inequality_scan``).
 """
@@ -264,10 +267,11 @@ def first_measurement_bound(max_witnesses: int = 4) -> BoundResult:
 
 
 @cache
-def _parity_table(low_bits: tuple[int, ...]) -> np.ndarray:
-    """(-1)^(XOR of bits ``low_bits``) of every in-block offset, as int8."""
-    offset = np.arange(_BLOCK, dtype=np.uint16)
-    parity = np.zeros(_BLOCK, dtype=np.uint16)
+def _parity_table(low_bits: tuple[int, ...], size: int) -> np.ndarray:
+    """(-1)^(XOR of bits ``low_bits``) of the in-block offsets below
+    ``size``, as int8."""
+    offset = np.arange(size, dtype=np.uint16)
+    parity = np.zeros(size, dtype=np.uint16)
     for b in low_bits:
         parity ^= offset >> np.uint16(b)
     table = (1 - 2 * (parity & 1)).astype(np.int8)
@@ -275,13 +279,13 @@ def _parity_table(low_bits: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _term_tables(terms) -> list[tuple[int, np.ndarray, int]]:
-    """Each ``(sign, bits)`` term as (sign, parity table of its bits below
-    ``_BLOCK_BITS``, mask of its bits at or above ``_BLOCK_BITS``)."""
+def _split_terms(terms) -> list[tuple[int, tuple[int, ...], int]]:
+    """Each ``(sign, bits)`` term as (sign, its bits below ``_BLOCK_BITS``,
+    mask of its bits at or above ``_BLOCK_BITS``)."""
     return [
         (
             sign,
-            _parity_table(tuple(b for b in bits if b < _BLOCK_BITS)),
+            tuple(b for b in bits if b < _BLOCK_BITS),
             sum(1 << b for b in bits if b >= _BLOCK_BITS),
         )
         for sign, bits in terms
@@ -293,43 +297,61 @@ def _block_sign(start: int, high: int) -> int:
     return 1 - 2 * ((start & high).bit_count() & 1)
 
 
+@cache
+def _step_delta(step: tuple[tuple[int, tuple[int, ...]], ...]) -> np.ndarray:
+    """What one block step adds, as int8: 2 * sum of direction * parity
+    table over the ``(direction, low bits)`` of each term it flips."""
+    # At most 18 terms flip, so |delta| <= 36 fits int8.
+    delta = 2 * sum(direction * _parity_table(low, _BLOCK) for direction, low in step)
+    delta.flags.writeable = False  # shared by every caller through the cache
+    return delta
+
+
 def _omega_blocks(layout: _Layout, variant: str, lo: int, hi: int):
     """Yield (first index, omega of the next models) block by block over
     model indices [lo, hi) under ``layout``; block ``start`` holds models
     ``start + first`` to ``start + stop``.
 
-    A block that follows a whole block is that block's values plus or
-    minus twice the parity table of each term whose block sign flips, so
-    every model is still evaluated.  Each block is built out of place and
-    yielded read-only: it is never mutated afterwards, and the next block
-    is derived from it.
+    A block that follows a whole block is that block's values plus one
+    cached step delta: a term whose block sign flips changes by twice its
+    parity table, in the direction of its new sign, and the step's terms
+    are summed once into the delta.  So every model is still evaluated,
+    with one add per block.  A step that flips no term yields the previous
+    block again, the same array when the block is whole.  Each block is
+    built out of place and yielded read-only: it is never mutated
+    afterwards, and the next block is derived from it.
     """
-    terms = _term_tables(layout.chi if variant == "abs" else layout.chi + layout.s)
+    terms = _split_terms(layout.chi if variant == "abs" else layout.chi + layout.s)
     # Only a term with bits in the block number can change between blocks.
-    steps = [term for term in terms if term[2]]
+    movable = [term for term in terms if term[2]]
     # Every deterministic correlator has |value| = 1, so S_abs = len(s).
     base = len(layout.s) if variant == "abs" else 0
+    # A layout smaller than a block (the 2^9 ones) needs only its own offsets.
+    size = min(_BLOCK, 1 << layout.n_bits)
     if lo >= hi:
         return
+    # The terms a step flips depend only on the block-number bits it flips.
+    movers = {}
     values = np.empty(0, dtype=np.int8)
     for start in range(lo - lo % _BLOCK, hi, _BLOCK):
         first, stop = max(lo - start, 0), min(hi - start, _BLOCK)
         if len(values) == _BLOCK:
-            values = values[:stop]  # a read-only view of the previous block
-            for sign, table, high in steps:
-                if _block_sign(start ^ (start - _BLOCK), high) < 0:
-                    update = np.add if sign * _block_sign(start, high) > 0 else np.subtract
-                    # The first update allocates the block; the rest write into it.
-                    # Applying the ±1 table twice keeps no doubled table in the cache.
-                    values = update(values, table[:stop],
-                                    out=values if values.flags.writeable else None)
-                    update(values, table[:stop], out=values)
+            flipped = start ^ (start - _BLOCK)
+            if flipped not in movers:
+                movers[flipped] = [term for term in movable if _block_sign(flipped, term[2]) < 0]
+            # Each flipped term moves towards its sign in the new block.
+            step = tuple([(sign * _block_sign(start, high), low)
+                          for sign, low, high in movers[flipped]])
+            if step:
+                values = np.add(values[:stop], _step_delta(step)[:stop])
+            elif stop < _BLOCK:
+                values = values[:stop]  # a read-only view of the previous block
         else:
             # |omega| <= 6 chi terms + 12 correlators = 18, so int8 cannot overflow.
             values = np.full(stop - first, base, dtype=np.int8)
-            for sign, table, high in terms:
+            for sign, low, high in terms:
                 accumulate = np.add if sign * _block_sign(start, high) > 0 else np.subtract
-                accumulate(values, table[first:stop], out=values)
+                accumulate(values, _parity_table(low, size)[first:stop], out=values)
         values.flags.writeable = False
         yield start + first, values
 
@@ -345,8 +367,12 @@ def _scan(layout: _Layout, variant: str, lo: int, hi: int, count: int = 1):
     attaining indices; an empty range gives (-inf, []), which never wins a
     merge."""
     best, found = -math.inf, []
+    previous = None
     for first, values in _omega_blocks(layout, variant, lo, hi):
-        top = int(values.max())
+        # A block yielded again unchanged keeps its maximum.
+        if values is not previous:
+            top = int(values.max())
+        previous = values
         # Blocks ascend, so a block can only displace the witnesses with a
         # higher maximum, or append to them on a tie.
         if top > best:

@@ -220,6 +220,16 @@ class TestHvBound:
         assert relaxed["models_scanned"] == 2**24
         assert relaxed["leader_sharing_load_bearing"] is True
 
+    @pytest.mark.parametrize("variant", ["signed", "abs"])
+    def test_wrong_relaxed_maximum_is_physics_failure(self, capsys, monkeypatch, variant):
+        bogus = BoundResult(variant, 17.0, (), 2**24)
+        monkeypatch.setattr(bellsquare.cli, "relaxed_omega_scan", lambda variant: bogus)
+        code, report = run_json(["hv-bound", "--variant", variant, "--relaxed"], capsys)
+        assert code == 1
+        assert report["passed"] is False
+        assert report["results"]["bounds"][variant]["matches_expected"] is True
+        assert report["results"]["relaxed"][variant]["max_value"] == 17.0
+
 
 class TestSweep:
     def test_json_payload(self, capsys):

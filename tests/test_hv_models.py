@@ -37,7 +37,9 @@ from bellsquare.hv_models import (
     _context_free_layout,
     _merge,
     _omega_blocks,
+    _parity_table,
     _scan,
+    _step_delta,
 )
 from conftest import (
     oracle_consistency,
@@ -84,6 +86,10 @@ def omega_histogram(layout, variant, n_models) -> dict[int, int]:
     for _, values in _omega_blocks(layout, variant, 0, n_models):
         counts += np.bincount(values + 18, minlength=37)
     return {value - 18: int(n) for value, n in enumerate(counts) if n}
+
+
+FULL_SCANS = [(layout, variant) for layout in (_CONSTRAINED, _RELAXED)
+              for variant in ("signed", "abs")]
 
 
 def all_plus_model() -> HVModel:
@@ -507,6 +513,37 @@ class TestBlockKernel:
         parts = [_scan(_RELAXED, variant, a, b, count) for a, b in zip(edges, edges[1:])]
         assert _merge(parts, count) == expected
         assert _scan(_RELAXED, variant, edges[0], edges[-1], count) == expected
+
+    def test_step_deltas_are_doubled_table_sums(self, monkeypatch):
+        steps = set()
+
+        def recording(step):
+            steps.add(step)
+            return _step_delta(step)
+
+        monkeypatch.setattr(hv_models, "_step_delta", recording)
+        for layout, variant in FULL_SCANS:
+            _scan(layout, variant, 0, 1 << layout.n_bits)
+        assert steps
+        for step in steps:
+            delta = _step_delta(step)
+            assert delta.dtype == np.int8 and not delta.flags.writeable
+            expected = 2 * sum(direction * _parity_table(low, _BLOCK).astype(np.int64)
+                               for direction, low in step)
+            assert np.array_equal(delta, expected)
+
+    def test_step_delta_cache_stays_small(self):
+        for layout, variant in FULL_SCANS:
+            _scan(layout, variant, 0, 1 << layout.n_bits)
+        # 19 + 2 distinct steps in the 2^24 scans, 5 + 0 in the 2^21 ones,
+        # each delta 64 KiB.
+        assert _step_delta.cache_info().currsize <= 26
+
+    def test_unchanged_blocks_are_yielded_again(self):
+        # No chi term reads a Bob bit, so no abs term has a block-number bit.
+        blocks = [values for _, values in _omega_blocks(_CONSTRAINED, "abs", 0, N_MODELS)]
+        assert len(blocks) == N_MODELS // _BLOCK == 32
+        assert all(values is blocks[0] for values in blocks)
 
 
 class TestOmegaHistograms:
