@@ -42,14 +42,11 @@ one int8 delta, cached by the flipped terms' directions and offset bits
 add.  A step that flips no term yields the previous block again and keeps
 its maximum.  Every model's omega is still computed.  The kernel returns
 the maximum with its lowest attaining indices.  One routine, ``_bound``,
-builds every bound from it: it splits a layout's models into partitions,
-scans each once for its maximum and its own lowest witnesses, merges them
-deterministically (global max, lowest witness indices) and decodes the
-witnesses.  So no model is scanned twice, whatever the witness count, and
-results are bit-identical for any partition count.  The partitions are
-scanned one after another in this process, and there are never more of
-them than the machine has CPUs.  Every bound is a ``BoundResult``; the
-2^24 scan decodes no witnesses, so its ``argmax_models`` is empty.
+builds every bound from it: one pass over all of a layout's models returns
+the maximum and its own lowest witnesses, which ``_bound`` decodes.  So no
+model is scanned twice, whatever the witness count.  Every bound is a
+``BoundResult``; the 2^24 scan decodes no witnesses, so its
+``argmax_models`` is empty.
 The chain inequality needs no scan: it is checked on the 192 cases that
 every model reduces to (see ``chain_inequality_scan``).
 """
@@ -57,7 +54,6 @@ every model reduces to (see ``chain_inequality_scan``).
 from __future__ import annotations
 
 import math
-import os
 # Not used here: kept only because bench/tracer.py rebinds this name.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -356,16 +352,9 @@ def _omega_blocks(layout: _Layout, variant: str, lo: int, hi: int):
         yield start + first, values
 
 
-def _merge(parts, count: int) -> tuple[float, list[int]]:
-    """Combine the (max, lowest attaining indices) results of disjoint ranges."""
-    best = max((value for value, _ in parts), default=-math.inf)
-    return best, sorted(i for value, found in parts if value == best for i in found)[:count]
-
-
 def _scan(layout: _Layout, variant: str, lo: int, hi: int, count: int = 1):
     """Max omega over model indices [lo, hi) and its ``count`` lowest
-    attaining indices; an empty range gives (-inf, []), which never wins a
-    merge."""
+    attaining indices; an empty range gives (-inf, [])."""
     best, found = -math.inf, []
     previous = None
     for first, values in _omega_blocks(layout, variant, lo, hi):
@@ -387,20 +376,11 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be 'signed' or 'abs', got {variant!r}")
 
 
-def _bound(layout: _Layout, variant: str, name: str, count: int, decode,
-           partitions: int = 1) -> BoundResult:
+def _bound(layout: _Layout, variant: str, name: str, count: int, decode) -> BoundResult:
     """Max omega over every model of ``layout``, labelled ``name``, with its
-    ``count`` lowest attaining indices decoded by ``decode``.
-
-    The models are split into ``partitions`` consecutive ranges, each
-    scanned once for its own maximum and witnesses; ``_merge`` keeps the
-    global maximum and the lowest witnesses, so the result is the same
-    for any partition count.
-    """
+    ``count`` lowest attaining indices decoded by ``decode``, from one scan."""
     n_models = 1 << layout.n_bits
-    edges = [(n_models * k) // partitions for k in range(partitions + 1)]
-    parts = [_scan(layout, variant, lo, hi, count) for lo, hi in zip(edges, edges[1:])]
-    best, found = _merge(parts, count)
+    best, found = _scan(layout, variant, 0, n_models, count)
     return BoundResult(
         variant=name,
         max_value=float(best),
@@ -416,22 +396,21 @@ def local_omega_bound(
 
     Args:
         variant: ``"signed"`` or ``"abs"``.
-        workers: Number of scan partitions, at most ``os.cpu_count()``
-            (larger values are clamped), scanned one after another in this
-            process; results are bit-identical for any value.
+        workers: Accepted for compatibility and validated; it changes
+            neither the result nor the work, which is one scan in this
+            process.
         max_witnesses: How many lowest-index maximizing models to decode.
-            Each partition keeps its own lowest ones in the same pass, and
-            the merge keeps the lowest of those, so the models are scanned
-            once for any count.
+            The scan keeps them in the same pass, so the models are
+            scanned once for any count.
 
     Raises:
         ValueError: On an unknown variant, or if ``workers`` or
             ``max_witnesses`` is not an integer >= 1.
     """
     _check_variant(variant)
-    workers = min(_checked_int("workers", workers, 1), os.cpu_count() or 1)
+    _checked_int("workers", workers, 1)
     max_witnesses = _checked_int("max_witnesses", max_witnesses, 1)
-    return _bound(_CONSTRAINED, variant, variant, max_witnesses, decode_model, workers)
+    return _bound(_CONSTRAINED, variant, variant, max_witnesses, decode_model)
 
 
 # Not called here: kept only because bench/tracer.py binds this name.

@@ -68,38 +68,56 @@ MUTANTS = (
            "if step:",
            "if step and start != 251 * _BLOCK:",
            ("test_hv_models.py",)),
-    # The next two run TestBlockKernel, whose first failures are plain tests:
-    # where libcst is installed, a failing Hypothesis test in the whole file
-    # ends pytest with exit 3, as its patch writer's import warns and the
-    # warning filter is "error".
     # Each step moves its flipped terms by their table once, not twice.
     Mutant("step delta built without its factor 2", "hv_models.py",
            "delta = 2 * sum(",
            "delta = sum(",
-           ("test_hv_models.py::TestBlockKernel",)),
+           ("test_hv_models.py",)),
     # Every block after the first is scanned with the first block's maximum.
     Mutant("scan keeps the previous maximum after a changed block", "hv_models.py",
            "if values is not previous:",
            "if previous is None:",
-           ("test_hv_models.py::TestBlockKernel",)),
-    # Each partition is scanned for one witness only, so a bound with more
-    # than one witness returns too few.
-    Mutant("partitions scanned for one witness each", "hv_models.py",
-           "_scan(layout, variant, lo, hi, count)",
-           "_scan(layout, variant, lo, hi)",
            ("test_hv_models.py",)),
-    # A tie between partitions keeps the highest witnesses, so a partitioned
-    # scan no longer returns the serial scan's lowest ones.
-    Mutant("merge keeps the highest tied witnesses", "hv_models.py",
-           "sorted(i for value, found in parts if value == best for i in found)[:count]",
-           "sorted((i for value, found in parts if value == best for i in found), "
-           "reverse=True)[:count]",
+    # Every bound is scanned for one witness only, so a bound with more
+    # than one witness returns too few.
+    Mutant("bound scanned for one witness", "hv_models.py",
+           "_scan(layout, variant, 0, n_models, count)",
+           "_scan(layout, variant, 0, n_models)",
+           ("test_hv_models.py",)),
+    # A block that ties the maximum adds no witnesses once any are found, so
+    # the lowest witnesses stop at the first block that attains it.
+    Mutant("scan takes tied witnesses from one block only", "hv_models.py",
+           "if top == best and len(found) < count:",
+           "if top == best and not found:",
            ("test_hv_models.py",)),
     # The first-measurement assignment reads B through C' and C through B'.
     Mutant("first-measurement relabelling swaps two partners", "hv_models.py",
            """label: f"{label}'" if label in PAIR_SIGNS else label""",
            """label: {"B": "C'", "C": "B'"}.get(label, f"{label}'") if label in PAIR_SIGNS else label""",
            ("test_hv_models.py",)),
+    # The γcC sequence loses its minus sign, as if the square's last column
+    # multiplied to +1.
+    Mutant("sign of the γcC chi term flipped", "observables.py",
+           '"γcC": -1}',
+           '"γcC": 1}',
+           ("test_inequality.py",)),
+    # Bob's partner of B carries the wrong sign in its S terms.
+    Mutant("sign of B's pair flipped", "observables.py",
+           'PAIR_SIGNS = {"B": -1,',
+           'PAIR_SIGNS = {"B": 1,',
+           ("test_inequality.py",)),
+    # Entries down to -1e-12 reach the cumulative unclamped, so it can
+    # fall and stop being sorted.
+    Mutant("negative probabilities not clamped in the inverse CDF", "sequences.py",
+           "np.maximum([dist.entries[c] for c in cells], 0.0)",
+           "np.array([dist.entries[c] for c in cells])",
+           ("test_sequences.py",)),
+    # The bisection moves the wrong endpoint, so it runs away from the
+    # crossing.
+    Mutant("threshold bisection keeps the wrong half", "inequality.py",
+           "if excess(mid) < 0:",
+           "if excess(mid) > 0:",
+           ("test_inequality.py",)),
     # Every odd-Y string's entries change sign (i for -i).
     Mutant("sign of i flipped in the entry table", "states.py",
            "PHASES[(x & z).bit_count() % 4]",

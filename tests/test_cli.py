@@ -193,8 +193,9 @@ class TestHvBound:
         assert code == 0
         results = report["results"]
         assert results["bounds"]["abs"]["max_value"] == 18.0
-        assert results["noncontextual_chi"]["max_value"] == 4.0
-        assert results["first_measurement_chi"]["max_value"] == 4.0
+        for key in ("noncontextual_chi", "first_measurement_chi"):
+            assert results[key]["max_value"] == results[key]["expected"] == 4.0
+            assert results[key]["matches_expected"] is True
         gap = results["gap_report"]
         assert gap["chi_gap"] == pytest.approx(2.0, abs=1e-9)
         assert gap["signed_gap"] == pytest.approx(2.0, abs=1e-9)
@@ -212,6 +213,16 @@ class TestHvBound:
         assert entry["matches_expected"] is True
         assert entry["witnesses"][0]["omega_signed"] == 8
 
+    def test_wrong_context_free_bound_is_physics_failure(self, capsys, monkeypatch):
+        real = bellsquare.cli.first_measurement_bound()
+        bogus = dataclasses.replace(real, max_value=5.0)
+        monkeypatch.setattr(bellsquare.cli, "first_measurement_bound", lambda: bogus)
+        code, report = run_json(["hv-bound", "--variant", "both"], capsys)
+        assert code == 1
+        results = report["results"]
+        assert results["first_measurement_chi"]["matches_expected"] is False
+        assert results["noncontextual_chi"]["matches_expected"] is True
+
     def test_relaxed_scan_reported(self, capsys):
         code, report = run_json(["hv-bound", "--variant", "signed", "--relaxed"], capsys)
         assert code == 0
@@ -228,7 +239,9 @@ class TestHvBound:
         assert code == 1
         assert report["passed"] is False
         assert report["results"]["bounds"][variant]["matches_expected"] is True
-        assert report["results"]["relaxed"][variant]["max_value"] == 17.0
+        entry = report["results"]["relaxed"][variant]
+        assert entry["max_value"] == 17.0 and entry["expected"] == 18.0
+        assert entry["matches_expected"] is False
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellsquare import (
     BOB_LABELS,
@@ -35,7 +35,6 @@ from bellsquare.hv_models import (
     _MODEL_BIT,
     _RELAXED,
     _context_free_layout,
-    _merge,
     _omega_blocks,
     _parity_table,
     _scan,
@@ -271,34 +270,25 @@ class TestLocalOmegaBound:
 
     def test_workers_bit_identical(self, monkeypatch):
         self._refuse_pools(monkeypatch)
-        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: 64)
         results = [local_omega_bound("signed", workers=w) for w in (1, 2, 3, 8, 64)]
         assert len({r.max_value for r in results}) == 1
         assert len({encode_model(r.argmax_models[0]) for r in results}) == 1
 
-    def test_partition_merge_matches_full_scan(self):
-        full = _scan(_CONSTRAINED, "signed", 0, N_MODELS)
-        edges = [0, 700_000, 1_500_000, N_MODELS]
-        parts = [_scan(_CONSTRAINED, "signed", lo, hi) for lo, hi in zip(edges, edges[1:])]
-        best = max(v for v, _ in parts)
-        index = min(found[0] for v, found in parts if v == best)
-        assert (best, [index]) == full
-
-    def test_empty_partition_merges(self):
-        assert _scan(_CONSTRAINED, "signed", 5, 5) == (float("-inf"), [])
-        full = _scan(_CONSTRAINED, "abs", 0, 1 << 16, 5)
-        edges = [0, 0, 200, 200, 1 << 16]
-        parts = [_scan(_CONSTRAINED, "abs", lo, hi, 5) for lo, hi in zip(edges, edges[1:])]
-        assert _merge(parts, 5) == full
-        assert _merge(parts[:2], 5) == _scan(_CONSTRAINED, "abs", 0, 200, 5)
+    def test_empty_range_scans_nothing(self):
+        for layout, variant in FULL_SCANS:
+            assert _scan(layout, variant, 5, 5, 3) == (float("-inf"), [])
+            assert _scan(layout, variant, _BLOCK, _BLOCK, 3) == (float("-inf"), [])
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(edges=st.lists(st.integers(0, N_MODELS), min_size=2, max_size=6),
            variant=st.sampled_from(["signed", "abs"]), count=st.integers(1, 20))
-    def test_scan_partition_invariant(self, edges, variant, count):
+    @example(edges=[0, 700_000, 1_500_000, N_MODELS], variant="signed", count=1)
+    def test_sub_range_scans_match_oracle(self, edges, variant, count):
+        # Each range builds its own first block, mostly from a mid-block edge.
         edges = sorted(edges)
-        parts = [_scan(_CONSTRAINED, variant, lo, hi, count) for lo, hi in zip(edges, edges[1:])]
-        assert _merge(parts, count) == _scan(_CONSTRAINED, variant, edges[0], edges[-1], count)
+        for lo, hi in zip(edges, edges[1:]):
+            assert _scan(_CONSTRAINED, variant, lo, hi, count) == oracle_scan(
+                _CONSTRAINED, variant, lo, hi, count)
 
     @pytest.mark.parametrize("bad", [True, 2.5, "2", 0, -3])
     def test_bad_workers_and_witness_counts_rejected(self, bad):
@@ -309,32 +299,28 @@ class TestLocalOmegaBound:
         with pytest.raises(ValueError, match="max_witnesses"):
             noncontextual_chi_bound(max_witnesses=bad)
 
-    @pytest.mark.parametrize("cpus", [3, None])
-    def test_no_process_pool_started(self, monkeypatch, cpus):
+    # None: the default workers.
+    @pytest.mark.parametrize("workers", [3, None])
+    def test_no_process_pool_started(self, monkeypatch, workers):
         self._refuse_pools(monkeypatch)
-        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: cpus)
-        result = local_omega_bound("signed", workers=64)
+        kwargs = {} if workers is None else {"workers": workers}
+        result = local_omega_bound("signed", **kwargs)
         assert result.max_value == 16.0
         assert [encode_model(m) for m in result.argmax_models] == [2603]
 
-    @pytest.mark.parametrize("cpus, workers, partitions",
-                             [(3, 64, 3), (None, 64, 1), (3, 10**12, 3), (None, 10**12, 1)])
-    def test_partitions_clamped_to_cpu_count(self, monkeypatch, cpus, workers, partitions):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 64, 10**12])
+    def test_one_scan_for_any_workers(self, monkeypatch, workers):
         scanned = []
 
         def counting_scan(layout, variant, lo, hi, count=1):
-            scanned.append((lo, hi))
+            scanned.append((lo, hi, count))
             return _scan(layout, variant, lo, hi, count)
 
         monkeypatch.setattr(hv_models, "_scan", counting_scan)
-        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: cpus)
-        result = local_omega_bound("signed", workers=workers)
-        assert len(scanned) == partitions
-        # The partitions tile [0, N_MODELS) in order.
-        assert [lo for lo, _ in scanned] == [0] + [hi for _, hi in scanned[:-1]]
-        assert scanned[-1][1] == N_MODELS
+        result = local_omega_bound("signed", workers=workers, max_witnesses=2)
+        assert scanned == [(0, N_MODELS, 2)]
         assert result.max_value == 16.0
-        assert [encode_model(m) for m in result.argmax_models] == [2603]
+        assert [encode_model(m) for m in result.argmax_models] == [2603, 2607]
 
     def test_multiple_witnesses(self):
         result = local_omega_bound("signed", max_witnesses=3)
@@ -344,17 +330,15 @@ class TestLocalOmegaBound:
 
     @pytest.mark.parametrize("variant", ["signed", "abs"])
     @pytest.mark.parametrize("count", [1, 3, 8])
-    def test_partitioned_witnesses_match_oracle(self, monkeypatch, variant, count):
-        # Every partition returns its own witnesses from its one pass.
-        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: 8)
+    def test_partitioned_witnesses_match_oracle(self, variant, count):
+        # The witnesses come from the one pass, whatever workers is.
         best, expected = oracle_scan(_CONSTRAINED, variant, 0, N_MODELS, count)
         for workers in (1, 2, 3, 8):
             result = local_omega_bound(variant, workers=workers, max_witnesses=count)
             assert result.max_value == best
             assert [encode_model(m) for m in result.argmax_models] == expected
 
-    def test_every_optimal_signed_model_returned(self, monkeypatch):
-        monkeypatch.setattr(hv_models.os, "cpu_count", lambda: 8)
+    def test_every_optimal_signed_model_returned(self):
         result = local_omega_bound("signed", workers=3, max_witnesses=1000)
         indices = [encode_model(m) for m in result.argmax_models]
         # 96 frustrated cases x 3 (TestParityCertificate), in index order.
@@ -509,10 +493,9 @@ class TestBlockKernel:
     def test_relaxed_partitions_match_reference(self, lo, cuts, variant, count):
         # Each part builds its own first block, mostly from mid-block edges.
         edges = sorted({lo} | {lo + cut for cut in cuts})
-        expected = oracle_scan(_RELAXED, variant, edges[0], edges[-1], count)
-        parts = [_scan(_RELAXED, variant, a, b, count) for a, b in zip(edges, edges[1:])]
-        assert _merge(parts, count) == expected
-        assert _scan(_RELAXED, variant, edges[0], edges[-1], count) == expected
+        for a, b in [*zip(edges, edges[1:]), (edges[0], edges[-1])]:
+            assert _scan(_RELAXED, variant, a, b, count) == oracle_scan(
+                _RELAXED, variant, a, b, count)
 
     def test_step_deltas_are_doubled_table_sums(self, monkeypatch):
         steps = set()
