@@ -1,12 +1,13 @@
 """Tests for the hidden-variable model enumeration and bounds."""
 
 import math
+import os
 import time
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellsquare import (
     BOB_LABELS,
@@ -279,11 +280,18 @@ class TestLocalOmegaBound:
             assert _scan(layout, variant, 5, 5, 3) == (float("-inf"), [])
             assert _scan(layout, variant, _BLOCK, _BLOCK, 3) == (float("-inf"), [])
 
+    def test_partition_merge_matches_full_scan(self):
+        full = _scan(_CONSTRAINED, "signed", 0, N_MODELS)
+        edges = [0, 700_000, 1_500_000, N_MODELS]
+        parts = [_scan(_CONSTRAINED, "signed", lo, hi) for lo, hi in zip(edges, edges[1:])]
+        best = max(v for v, _ in parts)
+        index = min(found[0] for v, found in parts if v == best)
+        assert (best, [index]) == full
+
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(edges=st.lists(st.integers(0, N_MODELS), min_size=2, max_size=6),
            variant=st.sampled_from(["signed", "abs"]), count=st.integers(1, 20))
-    @example(edges=[0, 700_000, 1_500_000, N_MODELS], variant="signed", count=1)
-    def test_sub_range_scans_match_oracle(self, edges, variant, count):
+    def test_scan_partition_invariant(self, edges, variant, count):
         # Each range builds its own first block, mostly from a mid-block edge.
         edges = sorted(edges)
         for lo, hi in zip(edges, edges[1:]):
@@ -308,8 +316,11 @@ class TestLocalOmegaBound:
         assert result.max_value == 16.0
         assert [encode_model(m) for m in result.argmax_models] == [2603]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 64, 10**12])
-    def test_one_scan_for_any_workers(self, monkeypatch, workers):
+    # Neither the CPU count nor workers splits the scan: one range, whatever both are.
+    @pytest.mark.parametrize("cpus, workers, witnesses",
+                             [(3, 64, 3), (None, 64, 1), (3, 10**12, 3), (None, 10**12, 1),
+                              (3, 1, 2), (3, 2, 2), (3, 3, 2)])
+    def test_partitions_clamped_to_cpu_count(self, monkeypatch, cpus, workers, witnesses):
         scanned = []
 
         def counting_scan(layout, variant, lo, hi, count=1):
@@ -317,10 +328,11 @@ class TestLocalOmegaBound:
             return _scan(layout, variant, lo, hi, count)
 
         monkeypatch.setattr(hv_models, "_scan", counting_scan)
-        result = local_omega_bound("signed", workers=workers, max_witnesses=2)
-        assert scanned == [(0, N_MODELS, 2)]
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        result = local_omega_bound("signed", workers=workers, max_witnesses=witnesses)
+        assert scanned == [(0, N_MODELS, witnesses)]
         assert result.max_value == 16.0
-        assert [encode_model(m) for m in result.argmax_models] == [2603, 2607]
+        assert [encode_model(m) for m in result.argmax_models] == [2603, 2607, 2735][:witnesses]
 
     def test_multiple_witnesses(self):
         result = local_omega_bound("signed", max_witnesses=3)
