@@ -44,13 +44,14 @@ from .hv_models import (
 from .inequality import (
     LOCAL_OMEGA_BOUND,
     NONCONTEXTUAL_CHI_BOUND,
+    _check_chi_expt,
     estimate_inequality,
     omega,
     sweep,
     visibility_threshold,
 )
-from .observables import CHI_SIGNS, OBSERVABLES, SEQUENCE_ORDER
-from .states import four_qubit_state
+from .observables import CHI_SIGNS, OBSERVABLES, SEQUENCE_ORDER, _checked_int
+from .states import _check_visibility, four_qubit_state
 
 OUTPUT_DIR_ENV = "BELLSQUARE_OUT"
 
@@ -100,20 +101,25 @@ def _model_payload(model: HVModel) -> dict:
 
 
 def _bound_payload(result: BoundResult, expected: float) -> dict:
-    """A scanned bound, its witnesses and whether it equals ``expected``."""
-    witnesses = []
+    """A scanned bound and its witnesses; ``matches_expected`` holds when the
+    maximum equals ``expected`` and every witness attains the maximum."""
+    witnesses, values = [], []
     for witness in result.argmax_models:
         if isinstance(witness, HVModel):
-            witnesses.append(_model_payload(witness))
+            payload = _model_payload(witness)
+            values.append(payload[f"omega_{result.variant}"])
         else:
-            witnesses.append({"values": dict(witness.values), "chi": witness.chi()})
+            payload = {"values": dict(witness.values), "chi": witness.chi()}
+            values.append(payload["chi"])
+        witnesses.append(payload)
     return {
         "variant": result.variant,
         "max_value": result.max_value,
         "models_scanned": result.models_scanned,
         "witnesses": witnesses,
         "expected": expected,
-        "matches_expected": result.max_value == expected,
+        "matches_expected": result.max_value == expected
+        and all(value == result.max_value for value in values),
     }
 
 
@@ -194,22 +200,15 @@ def cmd_sample(args) -> tuple[dict, bool]:
 
 def cmd_hv_bound(args) -> tuple[dict, bool]:
     variants = ("signed", "abs") if args.variant == "both" else (args.variant,)
-    results: dict = {"bounds": {}}
-    entries = []  # every bound entry, each gated by its matches_expected
-    passed = True
-
-    scans: dict[str, BoundResult] = {}
-    for variant in variants:
-        scan = local_omega_bound(variant)
-        scans[variant] = scan
-        entry = _bound_payload(scan, LOCAL_OMEGA_BOUND if variant == "signed" else 18.0)
-        passed &= all(w[f"omega_{variant}"] == scan.max_value for w in entry["witnesses"])
-        results["bounds"][variant] = entry
-        entries.append(entry)
+    # Each bound entry is gated by its matches_expected: its maximum and its witnesses.
+    scans = {variant: local_omega_bound(variant) for variant in variants}
+    expected = {"signed": LOCAL_OMEGA_BOUND, "abs": 18.0}
+    results: dict = {"bounds": {v: _bound_payload(scans[v], expected[v]) for v in variants}}
+    entries = list(results["bounds"].values())
 
     chain = chain_inequality_scan()
     results["chain_inequality"] = asdict(chain)
-    passed &= chain.all_hold
+    passed = chain.all_hold
 
     if args.variant == "both":
         chi_b = noncontextual_chi_bound()
@@ -318,6 +317,17 @@ _COMMANDS = {
 }
 
 
+def _option(parse, check):
+    """An argparse ``type=`` that parses an option's text with ``parse`` and
+    applies the library's ``check``; its ``ValueError`` is a usage error."""
+    def convert(text: str):
+        try:
+            return check(parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every later one;
@@ -330,22 +340,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bellsquare {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p):
-        p.add_argument("--format", choices=["json", "csv"], default="json",
-                       help="report format (csv applies to sweep tables only)")
+    def add_output_flags(p, formats=("json",)):
+        p.add_argument("--format", choices=formats, default="json", help="report format")
         p.add_argument("--out", help="output file path (default: env BELLSQUARE_OUT dir or stdout)")
 
     p = sub.add_parser("identities", help="operator-identity audit")
     add_output_flags(p)
 
+    visibility = _option(float, _check_visibility)
     p = sub.add_parser("quantum", help="exact inequality values at a visibility")
-    p.add_argument("--visibility", type=float, default=1.0)
+    p.add_argument("--visibility", type=visibility, default=1.0)
     add_output_flags(p)
 
     p = sub.add_parser("sample", help="seeded finite-shot estimates")
-    p.add_argument("--visibility", type=float, default=1.0)
-    p.add_argument("--shots", type=int, default=1_000_000,
-                   help="shots per (sequence, Bob observable) setting")
+    p.add_argument("--visibility", type=visibility, default=1.0)
+    p.add_argument("--shots", type=_option(int, functools.partial(_checked_int, "shots", low=1)),
+                   default=1_000_000, help="shots per (sequence, Bob observable) setting")
     p.add_argument("--seed", type=int, default=42)
     add_output_flags(p)
 
@@ -357,23 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="inequality values over a visibility grid")
     p.add_argument("--grid", default="0:1:0.01", help="start:stop:step in [0, 1]")
-    p.add_argument("--chi-expt", type=float, default=None,
+    p.add_argument("--chi-expt", type=_option(float, _check_chi_expt), default=None,
                    help="observed chi value for an extra threshold entry")
-    add_output_flags(p)
+    add_output_flags(p, formats=("json", "csv"))
     return parser
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
-    visibility = getattr(args, "visibility", None)
-    if visibility is not None and not 0.0 <= visibility <= 1.0:
-        parser.error(f"--visibility must lie in [0, 1], got {visibility}")
-    shots = getattr(args, "shots", None)
-    if shots is not None and shots < 1:
-        parser.error(f"--shots must be >= 1, got {shots}")
-    if getattr(args, "chi_expt", None) is not None and not -6.0 <= args.chi_expt <= 6.0:
-        parser.error(f"--chi-expt must lie in [-6, 6], got {args.chi_expt}")
-    if args.format == "csv" and args.command != "sweep":
-        parser.error("--format csv is only available for the sweep command")
     if args.command == "sweep":
         try:
             args.grid_points = _parse_grid(args.grid)
@@ -382,14 +382,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _config_echo(args) -> dict:
-    config = {"command": args.command}
-    for key in ("visibility", "shots", "seed", "variant", "grid", "chi_expt", "relaxed"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            config[key] = getattr(args, key)
-    config["format"] = args.format
-    if args.out:
-        config["out"] = args.out
-    return config
+    """The command and its set options in parser order; ``grid_points`` comes from ``grid``."""
+    return {key: value for key, value in vars(args).items()
+            if value is not None and key != "grid_points"}
 
 
 def _emit(text: str, args) -> None:

@@ -159,6 +159,13 @@ def omega(rho: DensityState) -> InequalityReport:
     return _report(dict(_SEQUENCE_PHASES), {t.key: pairs[t.alice] for t in S_TERMS})
 
 
+def _check_chi_expt(chi_expt: float) -> float:
+    x = float(chi_expt)
+    if not -6.0 <= x <= 6.0:
+        raise ValueError(f"chi_expt must lie in [-6, 6], got {chi_expt}")
+    return x
+
+
 def visibility_threshold(chi_expt: float) -> float:
     """Minimum visibility for violating the bound 16 at an observed chi.
 
@@ -170,10 +177,7 @@ def visibility_threshold(chi_expt: float) -> float:
     Raises:
         ValueError: If ``chi_expt`` lies outside [-6, 6].
     """
-    x = float(chi_expt)
-    if not -6.0 <= x <= 6.0:
-        raise ValueError(f"chi_expt must lie in [-6, 6], got {chi_expt}")
-    return (math.sqrt(33.0 - 2.0 * x) - 1.0) / 4.0
+    return (math.sqrt(33.0 - 2.0 * _check_chi_expt(chi_expt)) - 1.0) / 4.0
 
 
 def fidelity_from_visibility(visibility: float) -> float:
@@ -270,7 +274,6 @@ class TermEstimate:
     in which case the estimate must match exactly.
     """
 
-    key: str
     exact: float
     estimate: float
     sigma: float
@@ -309,10 +312,10 @@ class SampledInequality:
         return self.max_abs_z <= n_sigma
 
 
-def _term_estimate(key: str, exact: float, total: int, n_shots: int) -> TermEstimate:
+def _term_estimate(exact: float, total: int, n_shots: int) -> TermEstimate:
     """Estimate of one term from the integer sum of its ``n_shots`` ±1 values."""
     sigma = math.sqrt(max(1.0 - exact * exact, 0.0) / n_shots)
-    return TermEstimate(key, exact, total / n_shots, sigma, n_shots)
+    return TermEstimate(exact, total / n_shots, sigma, n_shots)
 
 
 def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledInequality:
@@ -340,11 +343,11 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
         [derive_seed(seed, index) for index in range(len(S_TERMS))], shots)
     for term, (cells, counts) in zip(S_TERMS, counted):
         total = int(counts @ (cells[:, term.position - 1] * cells[:, 3]))
-        s_estimates[term.key] = _term_estimate(term.key, exact.s_terms.terms[term.key], total, shots)
+        s_estimates[term.key] = _term_estimate(exact.s_terms.terms[term.key], total, shots)
         pooled[term.sequence].append(int(counts @ (cells[:, 0] * cells[:, 1] * cells[:, 2])))
 
     chi_estimates = {
-        name: _term_estimate(name, exact.chi_terms.terms[name], sum(totals), shots * len(totals))
+        name: _term_estimate(exact.chi_terms.terms[name], sum(totals), shots * len(totals))
         for name, totals in pooled.items()
     }
     point = _report({k: t.estimate for k, t in chi_estimates.items()},

@@ -95,6 +95,13 @@ MUTANTS = (
            """label: f"{label}'" if label in PAIR_SIGNS else label""",
            """label: {"B": "C'", "C": "B'"}.get(label, f"{label}'") if label in PAIR_SIGNS else label""",
            ("test_hv_models.py",)),
+    # An hv-bound entry whose maximum is right passes whatever its
+    # witnesses reach.
+    Mutant("hv-bound entry gated without its witnesses", "cli.py",
+           """"matches_expected": result.max_value == expected
+        and all(value == result.max_value for value in values),""",
+           """"matches_expected": result.max_value == expected,""",
+           ("test_cli.py",)),
     # The γcC sequence loses its minus sign, as if the square's last column
     # multiplied to +1.
     Mutant("sign of the γcC chi term flipped", "observables.py",
@@ -106,6 +113,12 @@ MUTANTS = (
            'PAIR_SIGNS = {"B": -1,',
            'PAIR_SIGNS = {"B": 1,',
            ("test_inequality.py",)),
+    # Cells of probability 0, and rounding noise down to -1e-12, are kept
+    # in the distribution in place of being dropped.
+    Mutant("zero-probability cells kept", "sequences.py",
+           "if p >= ZERO_PROBABILITY_TOL}",
+           "if p >= -ZERO_PROBABILITY_TOL}",
+           ("test_sequences.py",)),
     # Entries down to -1e-12 reach the cumulative unclamped, so it can
     # fall and stop being sorted.
     Mutant("negative probabilities not clamped in the inverse CDF", "sequences.py",

@@ -11,7 +11,8 @@ import pytest
 
 import bellsquare.cli
 import bellsquare.observables
-from bellsquare import SEQUENCE_ORDER, BoundResult, decode_model, estimate_inequality
+from bellsquare import (
+    SEQUENCE_ORDER, BoundResult, NoncontextualAssignment, decode_model, estimate_inequality)
 from bellsquare.observables import SquareCheck
 from bellsquare.cli import main
 from bellsquare.inequality import _report, omega
@@ -67,9 +68,25 @@ class TestExitCodes:
         assert excinfo.value.code == 2
 
     def test_csv_outside_sweep_is_usage_error(self, capsys):
+        for command in ("identities", "quantum", "sample", "hv-bound"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--format", "csv"])
+            assert excinfo.value.code == 2
+            assert "argument --format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sweep", "--chi-expt", "7"], id="chi-expt-7"),
+        pytest.param(["quantum", "--visibility", "nan"], id="quantum-visibility-nan"),
+        pytest.param(["sample", "--visibility", "nan"], id="sample-visibility-nan"),
+        pytest.param(["sample", "--shots", "-3"], id="shots-minus-3"),
+    ])
+    def test_option_outside_its_range_is_usage_error(self, capsys, monkeypatch, argv):
+        # The parser rejects the option before any command runs.
+        monkeypatch.setitem(bellsquare.cli._COMMANDS, argv[0], None)
         with pytest.raises(SystemExit) as excinfo:
-            main(["quantum", "--format", "csv"])
+            main(argv)
         assert excinfo.value.code == 2
+        assert f"argument {argv[1]}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "grid", ["0:2:0.5", "0:1:nan", "0:1:inf", "0.5:0.5000000000001:1e-14", "0:1:1e-9"]
@@ -210,7 +227,7 @@ class TestHvBound:
         assert code == 1
         assert report["passed"] is False
         entry = report["results"]["bounds"]["signed"]
-        assert entry["matches_expected"] is True
+        assert entry["matches_expected"] is False
         assert entry["witnesses"][0]["omega_signed"] == 8
 
     def test_wrong_context_free_bound_is_physics_failure(self, capsys, monkeypatch):
@@ -222,6 +239,22 @@ class TestHvBound:
         results = report["results"]
         assert results["first_measurement_chi"]["matches_expected"] is False
         assert results["noncontextual_chi"]["matches_expected"] is True
+
+    def test_wrong_context_free_witness_is_physics_failure(self, capsys, monkeypatch):
+        # The bound is 4, but its witness with A flipped reaches only chi = 0.
+        real = bellsquare.cli.noncontextual_chi_bound()
+        values = {**real.argmax_models[0].values, "A": -real.argmax_models[0].values["A"]}
+        bogus = dataclasses.replace(real, argmax_models=(NoncontextualAssignment(values),))
+        monkeypatch.setattr(bellsquare.cli, "noncontextual_chi_bound", lambda: bogus)
+        code, report = run_json(["hv-bound", "--variant", "both"], capsys)
+        assert code == 1
+        assert report["passed"] is False
+        results = report["results"]
+        assert results["noncontextual_chi"]["max_value"] == 4.0
+        assert results["noncontextual_chi"]["witnesses"] == [{"values": values, "chi": 0.0}]
+        assert results["noncontextual_chi"]["matches_expected"] is False
+        others = [*results["bounds"].values(), results["first_measurement_chi"]]
+        assert all(entry["matches_expected"] is True for entry in others)
 
     def test_relaxed_scan_reported(self, capsys):
         code, report = run_json(["hv-bound", "--variant", "signed", "--relaxed"], capsys)
