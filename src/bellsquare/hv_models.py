@@ -28,25 +28,24 @@ twelve Alice·Bob products; the scans read the same signs from term tables.
 A model is an integer whose bits are outcome signs (0 is +1, 1 is -1).
 Each class is one term table, a ``_Layout``: its number of bits and its
 chi and S terms as ``(sign, bit positions)`` pairs, so every term is
-sign * (-1)^(XOR of its bits).  One kernel evaluates any layout over an
-index range in blocks of 2^16 models.  An index splits into a block number
-(bits 16 and up) and a 16-bit offset; the term's offset bits select an
-int8 ±1 parity table over the 2^16 offsets (over the 2^9 models of the
+sign * (-1)^(XOR of its bits).  One kernel evaluates all of a layout's
+models in blocks of 2^16.  An index splits into a block number (bits 16
+and up) and a 16-bit offset; the term's offset bits select an int8 ±1
+parity table over the 2^16 offsets (over the 2^9 models of the
 context-free layouts), built on first use and cached, and its block bits
-fold into one ±1 per block.  The first block of a range sums every term's
-table, signed by the block number.  Each later block is the block before
-it plus one step delta: only the terms whose block sign flips change,
-each by twice its table towards its new sign, and the step sums them into
-one int8 delta, cached by the flipped terms' directions and offset bits
-(26 distinct steps over the four full scans).  So each block costs one
-add.  A step that flips no term yields the previous block again and keeps
-its maximum.  Every model's omega is still computed.  The kernel returns
-the maximum with its lowest attaining indices.  One routine, ``_bound``,
-builds every bound from it: one pass over all of a layout's models returns
-the maximum and its own lowest witnesses, which ``_bound`` decodes.  So no
-model is scanned twice, whatever the witness count.  Every bound is a
-``BoundResult``; the 2^24 scan decodes no witnesses, so its
-``argmax_models`` is empty.
+fold into one ±1 per block.  Block 0 sums every term's table.  Each later
+block is the block before it plus one step delta: only the terms whose
+block sign flips change, each by twice its table towards its new sign, and
+the step sums them into one int8 delta, cached by the flipped terms'
+directions and offset bits (26 distinct steps over the four full scans).
+So each block costs one add, and a step that flips no term yields the
+previous block again and keeps its maximum.  Every model's omega is still
+computed.  The kernel returns the maximum with its lowest attaining
+indices.  One routine, ``_bound``, builds every bound from it: one pass
+over all of a layout's models returns the maximum and its own lowest
+witnesses, which ``_bound`` decodes.  So no model is scanned twice,
+whatever the witness count.  Every bound is a ``BoundResult``; the 2^24
+scan decodes no witnesses, so its ``argmax_models`` is empty.
 The chain inequality needs no scan: it is checked on the 192 cases that
 every model reduces to (see ``chain_inequality_scan``).
 """
@@ -303,18 +302,18 @@ def _step_delta(step: tuple[tuple[int, tuple[int, ...]], ...]) -> np.ndarray:
     return delta
 
 
-def _omega_blocks(layout: _Layout, variant: str, lo: int, hi: int):
-    """Yield (first index, omega of the next models) block by block over
-    model indices [lo, hi) under ``layout``; block ``start`` holds models
-    ``start + first`` to ``start + stop``.
+def _omega_blocks(layout: _Layout, variant: str):
+    """Yield (first index, omega of its models) for each whole block of
+    ``layout``: one block of all 2^n_bits models when the layout is
+    smaller than ``_BLOCK``, else blocks of ``_BLOCK`` models.
 
-    A block that follows a whole block is that block's values plus one
-    cached step delta: a term whose block sign flips changes by twice its
-    parity table, in the direction of its new sign, and the step's terms
-    are summed once into the delta.  So every model is still evaluated,
-    with one add per block.  A step that flips no term yields the previous
-    block again, the same array when the block is whole.  Each block is
-    built out of place and yielded read-only: it is never mutated
+    The first block sums every term's parity table.  Each later block is
+    the block before it plus one cached step delta: a term whose block
+    sign flips changes by twice its parity table, in the direction of its
+    new sign, and the step's terms are summed once into the delta.  So
+    every model is still evaluated, with one add per block.  A step that
+    flips no term yields the previous block again, the same array.  Each
+    block is built out of place and yielded read-only: it is never mutated
     afterwards, and the next block is derived from it.
     """
     terms = _split_terms(layout.chi if variant == "abs" else layout.chi + layout.s)
@@ -324,40 +323,34 @@ def _omega_blocks(layout: _Layout, variant: str, lo: int, hi: int):
     base = len(layout.s) if variant == "abs" else 0
     # A layout smaller than a block (the 2^9 ones) needs only its own offsets.
     size = min(_BLOCK, 1 << layout.n_bits)
-    if lo >= hi:
-        return
+    # |omega| <= 6 chi terms + 12 correlators = 18, so int8 cannot overflow.
+    values = np.full(size, base, dtype=np.int8)
+    for sign, low, _ in terms:
+        accumulate = np.add if sign > 0 else np.subtract
+        accumulate(values, _parity_table(low, size), out=values)
+    values.flags.writeable = False
+    yield 0, values
     # The terms a step flips depend only on the block-number bits it flips.
     movers = {}
-    values = np.empty(0, dtype=np.int8)
-    for start in range(lo - lo % _BLOCK, hi, _BLOCK):
-        first, stop = max(lo - start, 0), min(hi - start, _BLOCK)
-        if len(values) == _BLOCK:
-            flipped = start ^ (start - _BLOCK)
-            if flipped not in movers:
-                movers[flipped] = [term for term in movable if _block_sign(flipped, term[2]) < 0]
-            # Each flipped term moves towards its sign in the new block.
-            step = tuple([(sign * _block_sign(start, high), low)
-                          for sign, low, high in movers[flipped]])
-            if step:
-                values = np.add(values[:stop], _step_delta(step)[:stop])
-            elif stop < _BLOCK:
-                values = values[:stop]  # a read-only view of the previous block
-        else:
-            # |omega| <= 6 chi terms + 12 correlators = 18, so int8 cannot overflow.
-            values = np.full(stop - first, base, dtype=np.int8)
-            for sign, low, high in terms:
-                accumulate = np.add if sign * _block_sign(start, high) > 0 else np.subtract
-                accumulate(values, _parity_table(low, size)[first:stop], out=values)
-        values.flags.writeable = False
-        yield start + first, values
+    for start in range(_BLOCK, 1 << layout.n_bits, _BLOCK):
+        flipped = start ^ (start - _BLOCK)
+        if flipped not in movers:
+            movers[flipped] = [term for term in movable if _block_sign(flipped, term[2]) < 0]
+        # Each flipped term moves towards its sign in the new block.
+        step = tuple([(sign * _block_sign(start, high), low)
+                      for sign, low, high in movers[flipped]])
+        if step:
+            values = np.add(values, _step_delta(step))
+            values.flags.writeable = False
+        yield start, values
 
 
-def _scan(layout: _Layout, variant: str, lo: int, hi: int, count: int = 1):
-    """Max omega over model indices [lo, hi) and its ``count`` lowest
-    attaining indices; an empty range gives (-inf, [])."""
+def _scan(layout: _Layout, variant: str, count: int = 1):
+    """Max omega over every model of ``layout`` and its ``count`` lowest
+    attaining indices."""
     best, found = -math.inf, []
     previous = None
-    for first, values in _omega_blocks(layout, variant, lo, hi):
+    for first, values in _omega_blocks(layout, variant):
         # A block yielded again unchanged keeps its maximum.
         if values is not previous:
             top = int(values.max())
@@ -379,13 +372,12 @@ def _check_variant(variant: str) -> None:
 def _bound(layout: _Layout, variant: str, name: str, count: int, decode) -> BoundResult:
     """Max omega over every model of ``layout``, labelled ``name``, with its
     ``count`` lowest attaining indices decoded by ``decode``, from one scan."""
-    n_models = 1 << layout.n_bits
-    best, found = _scan(layout, variant, 0, n_models, count)
+    best, found = _scan(layout, variant, count)
     return BoundResult(
         variant=name,
         max_value=float(best),
         argmax_models=tuple(map(decode, found)),
-        models_scanned=n_models,
+        models_scanned=1 << layout.n_bits,
     )
 
 
@@ -416,7 +408,7 @@ def local_omega_bound(
 # Not called here: kept only because bench/tracer.py binds this name.
 def _indices_attaining(target: int, variant: str, count: int) -> list[int]:
     """The ``count`` lowest model indices attaining the maximum ``target``."""
-    best, found = _scan(_CONSTRAINED, variant, 0, N_MODELS, count)
+    best, found = _scan(_CONSTRAINED, variant, count)
     if best != target:
         raise ValueError(f"{target} is not the maximum omega {best}")
     return found

@@ -4,10 +4,10 @@ import math
 import os
 import time
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bellsquare import (
     BOB_LABELS,
@@ -64,28 +64,30 @@ def flip_involution(index: int) -> int:
     return index ^ ((1 << N_MODEL_BITS) - 1) ^ 0b111  # all bits except the three leaders
 
 
-def block_values(layout, variant, lo, hi) -> np.ndarray:
-    """Omega of models [lo, hi) from the block kernel, in index order."""
+@cache
+def block_values(layout, variant) -> np.ndarray:
+    """Omega of every model of ``layout`` from the block kernel, in index
+    order; read-only, built once per (layout, variant)."""
     firsts, blocks = [], []
-    for first, values in _omega_blocks(layout, variant, lo, hi):
+    for first, values in _omega_blocks(layout, variant):
         firsts.append(first)
         blocks.append(values)
-    assert firsts == sorted(firsts) and sum(map(len, blocks)) == hi - lo
-    return np.concatenate(blocks)
+    assert firsts == sorted(firsts) and sum(map(len, blocks)) == 1 << layout.n_bits
+    values = np.concatenate(blocks)
+    values.flags.writeable = False
+    return values
 
 
 def omega_at(layout, variant, indices) -> list[int]:
-    """Omega of each model index, each read from a one-model block slice."""
-    return [int(block_values(layout, variant, int(i), int(i) + 1)[0]) for i in indices]
+    """Omega of each model index, read from the whole-layout array."""
+    return block_values(layout, variant)[indices].tolist()
 
 
-def omega_histogram(layout, variant, n_models) -> dict[int, int]:
-    """How many of the models [0, n_models) take each omega, one bincount
-    per block."""
-    counts = np.zeros(37, dtype=np.int64)
-    for _, values in _omega_blocks(layout, variant, 0, n_models):
-        counts += np.bincount(values + 18, minlength=37)
-    return {value - 18: int(n) for value, n in enumerate(counts) if n}
+def omega_histogram(layout, variant) -> dict[int, int]:
+    """How many of the layout's models take each omega (|omega| <= 18)."""
+    values = block_values(layout, variant)
+    counts = {value: int(np.count_nonzero(values == value)) for value in range(-18, 19)}
+    return {value: n for value, n in counts.items() if n}
 
 
 FULL_SCANS = [(layout, variant) for layout in (_CONSTRAINED, _RELAXED)
@@ -275,29 +277,6 @@ class TestLocalOmegaBound:
         assert len({r.max_value for r in results}) == 1
         assert len({encode_model(r.argmax_models[0]) for r in results}) == 1
 
-    def test_empty_range_scans_nothing(self):
-        for layout, variant in FULL_SCANS:
-            assert _scan(layout, variant, 5, 5, 3) == (float("-inf"), [])
-            assert _scan(layout, variant, _BLOCK, _BLOCK, 3) == (float("-inf"), [])
-
-    def test_partition_merge_matches_full_scan(self):
-        full = _scan(_CONSTRAINED, "signed", 0, N_MODELS)
-        edges = [0, 700_000, 1_500_000, N_MODELS]
-        parts = [_scan(_CONSTRAINED, "signed", lo, hi) for lo, hi in zip(edges, edges[1:])]
-        best = max(v for v, _ in parts)
-        index = min(found[0] for v, found in parts if v == best)
-        assert (best, [index]) == full
-
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(edges=st.lists(st.integers(0, N_MODELS), min_size=2, max_size=6),
-           variant=st.sampled_from(["signed", "abs"]), count=st.integers(1, 20))
-    def test_scan_partition_invariant(self, edges, variant, count):
-        # Each range builds its own first block, mostly from a mid-block edge.
-        edges = sorted(edges)
-        for lo, hi in zip(edges, edges[1:]):
-            assert _scan(_CONSTRAINED, variant, lo, hi, count) == oracle_scan(
-                _CONSTRAINED, variant, lo, hi, count)
-
     @pytest.mark.parametrize("bad", [True, 2.5, "2", 0, -3])
     def test_bad_workers_and_witness_counts_rejected(self, bad):
         with pytest.raises(ValueError, match="workers"):
@@ -316,21 +295,21 @@ class TestLocalOmegaBound:
         assert result.max_value == 16.0
         assert [encode_model(m) for m in result.argmax_models] == [2603]
 
-    # Neither the CPU count nor workers splits the scan: one range, whatever both are.
+    # Neither the CPU count nor workers splits the scan: one call, whatever both are.
     @pytest.mark.parametrize("cpus, workers, witnesses",
                              [(3, 64, 3), (None, 64, 1), (3, 10**12, 3), (None, 10**12, 1),
                               (3, 1, 2), (3, 2, 2), (3, 3, 2)])
     def test_partitions_clamped_to_cpu_count(self, monkeypatch, cpus, workers, witnesses):
         scanned = []
 
-        def counting_scan(layout, variant, lo, hi, count=1):
-            scanned.append((lo, hi, count))
-            return _scan(layout, variant, lo, hi, count)
+        def counting_scan(layout, variant, count=1):
+            scanned.append(count)
+            return _scan(layout, variant, count)
 
         monkeypatch.setattr(hv_models, "_scan", counting_scan)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         result = local_omega_bound("signed", workers=workers, max_witnesses=witnesses)
-        assert scanned == [(0, N_MODELS, witnesses)]
+        assert scanned == [witnesses]
         assert result.max_value == 16.0
         assert [encode_model(m) for m in result.argmax_models] == [2603, 2607, 2735][:witnesses]
 
@@ -388,7 +367,7 @@ class TestInvolution:
         idx = np.arange(N_MODELS)
         mask = flip_involution(0)
         for variant in ("signed", "abs"):
-            values = block_values(_CONSTRAINED, variant, 0, N_MODELS)
+            values = block_values(_CONSTRAINED, variant)
             assert np.array_equal(values, values[idx ^ mask])
 
     @pytest.mark.parametrize("bad", [-1, N_MODELS, 1 << 40, 2.5, True])
@@ -461,7 +440,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("variant", ["signed", "abs"])
     def test_all_constrained_models_match_reference(self, variant):
-        for first, values in _omega_blocks(_CONSTRAINED, variant, 0, N_MODELS):
+        for first, values in _omega_blocks(_CONSTRAINED, variant):
             idx = np.arange(first, first + len(values), dtype=np.uint32)
             assert np.array_equal(values, oracle_omega_values(idx, variant, _CONSTRAINED))
 
@@ -469,45 +448,28 @@ class TestBlockKernel:
     def test_context_free_layouts_match_reference(self, labels):
         layout = _context_free_layout(labels)
         assert layout.n_bits == 9
-        blocks = list(_omega_blocks(layout, "signed", 0, 512))
+        blocks = list(_omega_blocks(layout, "signed"))
         assert [(first, len(values)) for first, values in blocks] == [(0, 512)]
         idx = np.arange(512, dtype=np.uint32)
         assert np.array_equal(blocks[0][1], oracle_omega_values(idx, "signed", layout))
 
     @pytest.mark.parametrize("variant", ["signed", "abs"])
-    def test_seeded_relaxed_blocks_match_reference(self, variant):
-        rng = np.random.default_rng(1624)
-        for block in rng.choice(N_RELAXED_MODELS // _BLOCK, size=6, replace=False):
-            lo = int(block) * _BLOCK
-            idx = np.arange(lo, lo + _BLOCK, dtype=np.uint32)
-            assert np.array_equal(block_values(_RELAXED, variant, lo, lo + _BLOCK),
-                                  oracle_omega_values(idx, variant, _RELAXED))
-
-    @pytest.mark.parametrize("variant", ["signed", "abs"])
-    @pytest.mark.parametrize("count", [1, 5, 20])
-    @pytest.mark.parametrize("lo, hi", [(65535, 65537), (65536, 65536), (700_000, 1_500_000)])
-    def test_scan_on_block_edges_matches_reference(self, variant, count, lo, hi):
-        assert _scan(_CONSTRAINED, variant, lo, hi, count) == oracle_scan(
-            _CONSTRAINED, variant, lo, hi, count)
-
-    @pytest.mark.parametrize("variant", ["signed", "abs"])
     def test_all_relaxed_models_match_reference(self, variant):
         # Every block after the first is derived from the one before it.
-        for first, values in _omega_blocks(_RELAXED, variant, 0, N_RELAXED_MODELS):
+        for first, values in _omega_blocks(_RELAXED, variant):
             assert not values.flags.writeable
             idx = np.arange(first, first + len(values), dtype=np.uint32)
             assert np.array_equal(values, oracle_omega_values(idx, variant, _RELAXED))
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(lo=st.integers(0, N_RELAXED_MODELS - 4 * _BLOCK),
-           cuts=st.lists(st.integers(0, 4 * _BLOCK), min_size=1, max_size=5),
-           variant=st.sampled_from(["signed", "abs"]), count=st.integers(1, 20))
-    def test_relaxed_partitions_match_reference(self, lo, cuts, variant, count):
-        # Each part builds its own first block, mostly from mid-block edges.
-        edges = sorted({lo} | {lo + cut for cut in cuts})
-        for a, b in [*zip(edges, edges[1:]), (edges[0], edges[-1])]:
-            assert _scan(_RELAXED, variant, a, b, count) == oracle_scan(
-                _RELAXED, variant, a, b, count)
+    def test_maximum_past_block_zero(self):
+        # Every bound's layout has a maximizer in block 0, so a scan that
+        # kept block 0's maximum would pass them.  Negated, the relaxed
+        # signed omega reaches 14 in block 0 and 18 only in later blocks.
+        layout = _RELAXED._replace(chi=tuple((-sign, bits) for sign, bits in _RELAXED.chi),
+                                   s=tuple((-sign, bits) for sign, bits in _RELAXED.s))
+        values = block_values(_RELAXED, "signed")
+        assert values.min() == -18 and values[:_BLOCK].min() == -14
+        assert _scan(layout, "signed", 3) == (18, np.flatnonzero(values == -18)[:3].tolist())
 
     def test_step_deltas_are_doubled_table_sums(self, monkeypatch):
         steps = set()
@@ -518,7 +480,7 @@ class TestBlockKernel:
 
         monkeypatch.setattr(hv_models, "_step_delta", recording)
         for layout, variant in FULL_SCANS:
-            _scan(layout, variant, 0, 1 << layout.n_bits)
+            _scan(layout, variant)
         assert steps
         for step in steps:
             delta = _step_delta(step)
@@ -531,14 +493,14 @@ class TestBlockKernel:
         # Other layouts (the part maxima's, say) add steps of their own.
         _step_delta.cache_clear()
         for layout, variant in FULL_SCANS:
-            _scan(layout, variant, 0, 1 << layout.n_bits)
+            _scan(layout, variant)
         # 19 + 2 distinct steps in the 2^24 scans, 5 + 0 in the 2^21 ones,
         # each delta 64 KiB.
         assert _step_delta.cache_info().currsize <= 26
 
     def test_unchanged_blocks_are_yielded_again(self):
         # No chi term reads a Bob bit, so no abs term has a block-number bit.
-        blocks = [values for _, values in _omega_blocks(_CONSTRAINED, "abs", 0, N_MODELS)]
+        blocks = [values for _, values in _omega_blocks(_CONSTRAINED, "abs")]
         assert len(blocks) == N_MODELS // _BLOCK == 32
         assert all(values is blocks[0] for values in blocks)
 
@@ -551,13 +513,13 @@ class TestOmegaHistograms:
     not these."""
 
     def test_constrained_signed(self):
-        histogram = omega_histogram(_CONSTRAINED, "signed", N_MODELS)
+        histogram = omega_histogram(_CONSTRAINED, "signed")
         assert histogram == oracle_model_histogram("signed")
         # One frustrated sequence in 96 cases, at 1 by 3 of its 4 slot choices.
         assert max(histogram) == 16 and histogram[16] == 96 * 3
 
     def test_constrained_abs(self):
-        histogram = omega_histogram(_CONSTRAINED, "abs", N_MODELS)
+        histogram = omega_histogram(_CONSTRAINED, "abs")
         assert histogram == oracle_model_histogram("abs")
         # S_abs = 12 always, and chi = 6 fixes each sequence's last slot.
         assert max(histogram) == 18
@@ -570,7 +532,7 @@ class TestOmegaHistograms:
         ("abs", N_RELAXED_MODELS // 2 ** len(SEQUENCE_ORDER)),
     ])
     def test_relaxed_optimal_counts(self, variant, optimal):
-        histogram = omega_histogram(_RELAXED, variant, N_RELAXED_MODELS)
+        histogram = omega_histogram(_RELAXED, variant)
         assert histogram == oracle_model_histogram(variant, relaxed=True)
         assert max(histogram) == 18 and histogram[18] == optimal
         assert sum(histogram.values()) == N_RELAXED_MODELS
@@ -615,7 +577,7 @@ class TestPartMaxima:
         ("omega_signed", _CONSTRAINED, 16, 2603),
     ], ids=["chi", "s_signed", "omega_signed"])
     def test_part_maximum(self, part, layout, best, witness):
-        assert _scan(layout, "signed", 0, N_MODELS) == (best, [witness])
+        assert _scan(layout, "signed") == (best, [witness])
         assert getattr(evaluate_model(decode_model(witness)), part) == best
 
 
