@@ -50,7 +50,7 @@ from .inequality import (
     sweep,
     visibility_threshold,
 )
-from .observables import CHI_SIGNS, OBSERVABLES, SEQUENCE_ORDER, _checked_int
+from .observables import CHI_SIGNS, OBSERVABLES, SEQUENCE_ORDER, _checked_int, mermin_square_check
 from .states import _check_visibility, four_qubit_state
 
 OUTPUT_DIR_ENV = "BELLSQUARE_OUT"
@@ -124,8 +124,6 @@ def _bound_payload(result: BoundResult, expected: float) -> dict:
 
 
 def cmd_identities(args) -> tuple[dict, bool]:
-    from .observables import mermin_square_check
-
     check = mermin_square_check()
     # Each product must carry its chi sign, so that every chi term is +1.
     passed = (
@@ -173,23 +171,13 @@ def cmd_quantum(args) -> tuple[dict, bool]:
 
 def cmd_sample(args) -> tuple[dict, bool]:
     estimate = estimate_inequality(args.visibility, args.shots, args.seed)
-
-    def term_entry(t):
-        return {
-            "exact": t.exact,
-            "estimate": t.estimate,
-            "sigma": t.sigma,
-            "z_score": t.z_score,
-            "n_shots": t.n_shots,
-        }
-
     results = {
         "visibility": estimate.visibility,
         "shots_per_setting": estimate.shots_per_setting,
         "seed": estimate.seed,
-        "chi_terms": {k: term_entry(t) for k, t in estimate.chi_terms.items()},
-        "s_terms": {k: term_entry(t) for k, t in estimate.s_terms.items()},
-        **{f"{name}_estimate": getattr(estimate, name) for name in _VALUES},
+        "chi_terms": {k: asdict(t) for k, t in estimate.chi_terms.items()},
+        "s_terms": {k: asdict(t) for k, t in estimate.s_terms.items()},
+        **{f"{name}_estimate": getattr(estimate.point, name) for name in _VALUES},
         "chi_exact": estimate.exact.chi,
         "omega_signed_exact": estimate.exact.omega_signed,
         "max_abs_z": estimate.max_abs_z,
@@ -244,8 +232,9 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
 
 def cmd_sweep(args) -> tuple[dict, bool]:
     result = sweep(args.grid_points)  # parsed once, by _validate
-    rows = [{name: getattr(r, name) for name in _SWEEP_COLUMNS} for r in result.rows]
-    chi_measured = result.rows[0].chi
+    rows = [{"visibility": v, **{name: getattr(r, name) for name in _VALUES}}
+            for v, r in zip(result.grid, result.reports)]
+    chi_measured = result.reports[0].chi
     results = {
         "rows": rows,
         "crossing_bracket": list(result.crossing_bracket) if result.crossing_bracket else None,
@@ -257,8 +246,8 @@ def cmd_sweep(args) -> tuple[dict, bool]:
         results["chi_expt"] = args.chi_expt
         results["threshold_for_chi_expt"] = visibility_threshold(args.chi_expt)
 
-    chi_constant = all(abs(r.chi - chi_measured) <= CHI_CONSTANCY_TOL for r in result.rows)
-    omegas = [r.omega_signed for r in result.rows]
+    chi_constant = all(abs(r.chi - chi_measured) <= CHI_CONSTANCY_TOL for r in result.reports)
+    omegas = [r.omega_signed for r in result.reports]
     monotone = all(b >= a - 1e-12 for a, b in zip(omegas, omegas[1:]))
     results["chi_constant"] = chi_constant
     results["omega_signed_monotone"] = monotone

@@ -25,18 +25,19 @@ Each chi term is the identity coefficient of its sequence product,
 exactly ±1 for every state (compatible sequences have joint-measurement
 statistics: Gühne et al., PRA 81, 022121 (2010)).  ``omega`` is the only
 reader of the correlators and sequence products.  One private assembly
-sums chi, both S and both omega from the term maps: for ``omega`` and so
-for every ``sweep`` row, for the point estimates of
-``estimate_inequality``, and for the ±1 outcome products of a
-hidden-variable model in ``hv_models.evaluate_model``, whose integer
-terms sum to integer values.
+sums chi, both S and both omega from the term maps, and all four
+producers of these values return its ``InequalityReport``: ``omega``,
+``sweep`` (one report per grid point), ``estimate_inequality`` (the
+report of the point estimates, beside that of the state) and
+``hv_models.evaluate_model``, whose integer ±1 outcome products sum to
+integer values.
 
 For the noisy preparation the signed S value is the polynomial
 ``4V + 8V**2`` in the visibility V while chi stays pinned at 6, so the
 combined value crosses 16 at ``V = (sqrt(21) - 1) / 4 ≈ 0.8956``.  Every
 correlator of that family is zero or carries its ideal sign, so the abs
 and signed omega are the same number there: ``sweep`` reports both per
-row and bisects on the signed one.  The closed-form threshold
+point and bisects on the signed one.  The closed-form threshold
 ``visibility_threshold`` generalizes the root to an observed chi value.
 """
 
@@ -96,8 +97,9 @@ class STerms:
 @dataclass(frozen=True)
 class InequalityReport:
     """The 18 terms and chi, S and omega, both S variants, of a quantum
-    state (``omega``), a shot estimate (``estimate_inequality``) or a
-    hidden-variable model (``evaluate_model``, whose terms are ints)."""
+    state (``omega``, and each point of ``sweep``), a shot estimate
+    (``estimate_inequality``) or a hidden-variable model
+    (``evaluate_model``, whose terms are ints)."""
 
     chi_terms: ChiTerms
     s_terms: STerms
@@ -187,18 +189,9 @@ def fidelity_from_visibility(visibility: float) -> float:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    visibility: float
-    chi: float
-    s_abs: float
-    s_signed: float
-    omega_abs: float
-    omega_signed: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    """Inequality values over a visibility grid.
+    """Inequality values over a visibility grid: ``reports[i]`` is
+    ``omega(four_qubit_state(grid[i]))``.
 
     ``crossing_bracket`` is the first grid interval on which the signed
     omega crosses the bound 16 (None if it never does), and ``crossing`` is
@@ -207,14 +200,15 @@ class SweepResult:
     together.
     """
 
-    rows: tuple[SweepRow, ...]
+    grid: tuple[float, ...]
+    reports: tuple[InequalityReport, ...]
     crossing_bracket: tuple[float, float] | None
     crossing: float | None
 
 
 def sweep(v_grid) -> SweepResult:
     """Evaluate the inequality on an ascending visibility grid."""
-    grid = [float(v) for v in v_grid]
+    grid = tuple(float(v) for v in v_grid)
     if not grid:
         raise ValueError("v_grid must not be empty")
     if any(not 0.0 <= v <= 1.0 for v in grid):
@@ -222,20 +216,16 @@ def sweep(v_grid) -> SweepResult:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly ascending")
 
-    rows = []
-    for v in grid:
-        r = omega(four_qubit_state(v))
-        rows.append(SweepRow(v, r.chi, r.s_abs, r.s_signed, r.omega_abs, r.omega_signed))
-
+    reports = tuple(omega(four_qubit_state(v)) for v in grid)
     bracket = None
-    for prev, curr in zip(rows, rows[1:]):
-        if prev.omega_signed < LOCAL_OMEGA_BOUND <= curr.omega_signed:
-            bracket = (prev.visibility, curr.visibility)
+    for i in range(1, len(grid)):
+        if reports[i - 1].omega_signed < LOCAL_OMEGA_BOUND <= reports[i].omega_signed:
+            bracket = (grid[i - 1], grid[i])
             break
     crossing = None
     if bracket is not None:
         crossing = find_violation_threshold(lo=bracket[0], hi=bracket[1])
-    return SweepResult(rows=tuple(rows), crossing_bracket=bracket, crossing=crossing)
+    return SweepResult(grid=grid, reports=reports, crossing_bracket=bracket, crossing=crossing)
 
 
 def find_violation_threshold(lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10) -> float:
@@ -271,35 +261,36 @@ class TermEstimate:
 
     ``sigma`` is the binomial standard error sqrt((1 - exact^2) / n)
     evaluated at the exact value; it is zero for deterministic terms,
-    in which case the estimate must match exactly.
+    in which case the estimate must match exactly.  ``z_score`` is set at
+    construction, so ``dataclasses.replace`` recomputes it: 0 or infinity
+    for a deterministic term, (estimate - exact) / sigma otherwise.
     """
 
     exact: float
     estimate: float
     sigma: float
+    z_score: float = field(init=False)
     n_shots: int
 
-    @property
-    def z_score(self) -> float:
+    def __post_init__(self) -> None:
         if self.sigma == 0.0:
-            return 0.0 if self.estimate == self.exact else math.inf
-        return (self.estimate - self.exact) / self.sigma
+            z = 0.0 if self.estimate == self.exact else math.inf
+        else:
+            z = (self.estimate - self.exact) / self.sigma
+        object.__setattr__(self, "z_score", z)
 
 
 @dataclass(frozen=True)
 class SampledInequality:
-    """All 18 inequality ingredients estimated from seeded sampling."""
+    """All 18 inequality ingredients estimated from seeded sampling:
+    ``point`` is the report of the estimates, ``exact`` that of the state."""
 
     visibility: float
     shots_per_setting: int
     seed: int
     chi_terms: dict[str, TermEstimate]
     s_terms: dict[str, TermEstimate]
-    chi: float
-    s_abs: float
-    s_signed: float
-    omega_abs: float
-    omega_signed: float
+    point: InequalityReport
     exact: InequalityReport = field(repr=False)
 
     @property
@@ -350,18 +341,13 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
         name: _term_estimate(exact.chi_terms.terms[name], sum(totals), shots * len(totals))
         for name, totals in pooled.items()
     }
-    point = _report({k: t.estimate for k, t in chi_estimates.items()},
-                    {k: t.estimate for k, t in s_estimates.items()})
     return SampledInequality(
         visibility=float(visibility),
         shots_per_setting=shots,
         seed=seed,
         chi_terms=chi_estimates,
         s_terms=s_estimates,
-        chi=point.chi,
-        s_abs=point.s_abs,
-        s_signed=point.s_signed,
-        omega_abs=point.omega_abs,
-        omega_signed=point.omega_signed,
+        point=_report({k: t.estimate for k, t in chi_estimates.items()},
+                      {k: t.estimate for k, t in s_estimates.items()}),
         exact=exact,
     )

@@ -24,11 +24,12 @@ stream.  Draw ``i`` (0-based) of the stream with seed ``s`` is::
     u_i = mix64((s + (i + 1) * GOLDEN) mod 2^64) >> 11) * 2^-53
 
 with ``GOLDEN = 0x9E3779B97F4A7C15`` and ``mix64`` the standard SplitMix64
-finalizer.  Because each draw depends only on (seed, i), splitting a shot
-range across workers and concatenating the results is bit-identical to a
-single pass; the inequality estimator keeps only the count of each cell
-of these draws, taken in chunks of ``_COUNT_CHUNK``, which cannot change
-it.  The mapping is frozen by unit tests and will not change between releases.
+finalizer.  Because each draw depends only on (seed, i), sampling a shot
+range in parts, each from its ``first_shot``, and concatenating the results
+is bit-identical to a single pass; the inequality estimator keeps only the
+count of each cell of these draws, taken in chunks of ``_COUNT_CHUNK``,
+which cannot change it.  The mapping is frozen by unit tests and will not
+change between releases.
 
 Counting needs no per-draw cell index.  A draw u falls in cell i exactly
 when cumulative[i-1] <= u < cumulative[i] (``searchsorted`` with

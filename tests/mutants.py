@@ -137,6 +137,12 @@ MUTANTS = (
            "if excess(mid) < 0:",
            "if excess(mid) > 0:",
            ("test_inequality.py",)),
+    # A deterministic term off its exact value reads z = 0, so a χ term one
+    # shot off its ±1 passes the 5σ gate.
+    Mutant("deterministic term off its value reads z = 0", "inequality.py",
+           "0.0 if self.estimate == self.exact else math.inf",
+           "0.0",
+           ("test_cli.py::TestSample::test_infinite_z_is_null",)),
     # Every odd-Y string's entries change sign (i for -i).
     Mutant("sign of i flipped in the entry table", "states.py",
            "PHASES[(x & z).bit_count() % 4]",

@@ -178,7 +178,7 @@ def test_criterion_8_sampling_fidelity():
         ideal = bs.estimate_inequality(1.0, shots, seed=42)
         assert ideal.within(5.0)
         sigma_omega = math.sqrt(sum(t.sigma**2 for t in ideal.s_terms.values()))
-        assert abs(ideal.omega_signed - 18.0) <= max(5 * sigma_omega, 1e-9)
+        assert abs(ideal.point.omega_signed - 18.0) <= max(5 * sigma_omega, 1e-9)
 
         noisy = bs.estimate_inequality(0.9, shots, seed=42)
         assert noisy.within(5.0)
@@ -192,6 +192,5 @@ def test_criterion_8_sampling_fidelity():
             rerun.chi_terms[k].estimate == noisy.chi_terms[k].estimate
             for k in noisy.chi_terms
         )
-        assert rerun.omega_signed == noisy.omega_signed
-        assert rerun.omega_abs == noisy.omega_abs
+        assert rerun.point == noisy.point
         assert time.perf_counter() - started < 30.0

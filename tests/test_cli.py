@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import bellsquare.cli
-import bellsquare.observables
 from bellsquare import (
     SEQUENCE_ORDER, BoundResult, NoncontextualAssignment, decode_model, estimate_inequality)
 from bellsquare.observables import SquareCheck
@@ -117,7 +116,7 @@ class TestIdentities:
                     chi_combination=6.0, max_matrix_deviation=1e-9),
     ])
     def test_failed_check_exits_one(self, capsys, monkeypatch, check):
-        monkeypatch.setattr(bellsquare.observables, "mermin_square_check", lambda: check)
+        monkeypatch.setattr(bellsquare.cli, "mermin_square_check", lambda: check)
         code, report = run_json(["identities"], capsys)
         assert code == 1
         assert report["passed"] is False
@@ -425,3 +424,8 @@ class TestGolden:
         _, report = run_json(argv, capsys)
         golden = strict_loads((GOLDEN_DIR / f"{name}.json").read_text())
         assert strip_timing(report) == golden
+
+    def test_csv_matches_golden(self, capsys):
+        # Compared as text, so the column order and number format are pinned.
+        assert main(["sweep", "--grid", "0:1:0.25", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / "sweep_small.csv").read_text()

@@ -1,5 +1,6 @@
 """Tests for inequality assembly, thresholds and sampled estimates."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -31,6 +32,7 @@ from bellsquare import (
     sweep,
     visibility_threshold,
 )
+from bellsquare.inequality import TermEstimate, _report
 
 from conftest import (
     LETTER_DEFS,
@@ -427,15 +429,15 @@ class TestFidelity:
 class TestSweep:
     def test_endpoints_and_constancy(self):
         result = sweep([0.0, 0.25, 0.5, 0.75, 1.0])
-        omegas = [row.omega_signed for row in result.rows]
+        omegas = [row.omega_signed for row in result.reports]
         assert omegas[0] == pytest.approx(6.0, abs=1e-9)
         assert omegas[-1] == pytest.approx(18.0, abs=1e-9)
-        for row in result.rows:
+        for row in result.reports:
             assert row.chi == pytest.approx(6.0, abs=1e-9)
 
     def test_monotone_nondecreasing(self):
         result = sweep([i / 20 for i in range(21)])
-        omegas = [row.omega_signed for row in result.rows]
+        omegas = [row.omega_signed for row in result.reports]
         assert all(b >= a - 1e-12 for a, b in zip(omegas, omegas[1:]))
 
     def test_crossing_bracket_fine_grid(self):
@@ -454,9 +456,18 @@ class TestSweep:
         # Why sweep and the bisection need no variant: on the noisy-singlet
         # family both conventions are the same number.
         result = sweep([i / 100 for i in range(101)])
-        assert all(row.omega_abs == row.omega_signed for row in result.rows)
+        assert all(row.omega_abs == row.omega_signed for row in result.reports)
         report = omega(four_qubit_state(result.crossing))
         assert report.omega_abs == report.omega_signed
+
+    def test_reports_are_omega_of_each_grid_point(self):
+        grid = [0, 0.25, np.float64(0.5), ROOT_V, 1]
+        result = sweep(grid)
+        assert result.grid == (0.0, 0.25, 0.5, ROOT_V, 1.0)
+        assert all(type(v) is float for v in result.grid)
+        assert len(result.reports) == len(grid)
+        for v, report in zip(grid, result.reports):
+            assert report == omega(four_qubit_state(v))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -471,14 +482,14 @@ class TestEstimate:
     def test_deterministic_at_full_visibility(self):
         # Every correlator is certain at V=1, so estimates are exactly ±1.
         estimate = estimate_inequality(1.0, 2000, seed=42)
-        assert estimate.omega_signed == 18.0
+        assert estimate.point.omega_signed == 18.0
         assert all(t.estimate in (1.0, -1.0) for t in estimate.s_terms.values())
         assert estimate.max_abs_z < 1e-3  # exact values carry ~1e-16 rounding
 
     def test_within_five_sigma_noisy(self):
         estimate = estimate_inequality(0.9, 20_000, seed=42)
         assert estimate.within(5.0)
-        assert estimate.omega_signed == pytest.approx(estimate.exact.omega_signed, abs=0.2)
+        assert estimate.point.omega_signed == pytest.approx(estimate.exact.omega_signed, abs=0.2)
 
     def test_seed_reproducibility(self):
         self.check_seed_reproducibility(1)
@@ -492,7 +503,7 @@ class TestEstimate:
         first = estimate_inequality(0.8, 5000, seed=seed)
         second = estimate_inequality(0.8, 5000, seed=1)
         assert type(first.seed) is int and first.seed == 1
-        assert first.omega_signed == second.omega_signed
+        assert first.point.omega_signed == second.point.omega_signed
         assert all(
             first.s_terms[k].estimate == second.s_terms[k].estimate for k in first.s_terms
         )
@@ -504,6 +515,29 @@ class TestEstimate:
             assert term.estimate in (1.0, -1.0)
             assert term.sigma <= 1e-8
             assert abs(term.estimate - term.exact) <= 1e-12
+
+    def test_point_is_the_report_of_the_estimates(self):
+        estimate = estimate_inequality(0.9, 2000, seed=7)
+        chi = {k: t.estimate for k, t in estimate.chi_terms.items()}
+        s = {k: t.estimate for k, t in estimate.s_terms.items()}
+        for k, term in estimate.chi_terms.items():
+            assert estimate.point.chi_terms.terms[k] == term.estimate
+        for k, term in estimate.s_terms.items():
+            assert estimate.point.s_terms.terms[k] == term.estimate
+        assert estimate.point == _report(chi, s)
+
+    def test_term_fields_and_recomputed_z_score(self):
+        estimate = estimate_inequality(0.9, 2000, seed=7)
+        term = estimate.chi_terms["ABC"]
+        assert list(dataclasses.asdict(term)) == ["exact", "estimate", "sigma", "z_score", "n_shots"]
+        assert term.z_score == 0.0
+        # A χ term has σ = 0, so any estimate off its exact ±1 reads z = ∞.
+        off = dataclasses.replace(term, estimate=term.estimate - 2 / term.n_shots)
+        assert off.z_score == math.inf
+        correlator = estimate.s_terms["BB'|ABC"]
+        moved = dataclasses.replace(correlator, estimate=correlator.exact - 2 * correlator.sigma)
+        assert moved.z_score == pytest.approx(-2.0, abs=1e-12)
+        assert TermEstimate(0.5, 0.75, 0.125, 16).z_score == 2.0
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
@@ -536,7 +570,7 @@ class TestEstimate:
                 assert term.exact == exact_terms[key]
                 assert term.sigma == math.sqrt(max(1.0 - term.exact**2, 0.0) / term.n_shots)
         for name in ("chi", "s_abs", "s_signed", "omega_abs", "omega_signed"):
-            assert getattr(got, name) == want[name], name
+            assert getattr(got.point, name) == want[name], name
 
     def test_memory_does_not_grow_with_shots(self):
         # Keeping every shot peaked near 46 MB; counts need O(chunk) memory.
