@@ -162,6 +162,8 @@ def omega(rho: DensityState) -> InequalityReport:
 
 
 def _check_chi_expt(chi_expt: float) -> float:
+    if isinstance(chi_expt, (bool, str)):
+        raise ValueError(f"chi_expt must be a number, got {chi_expt!r}")
     x = float(chi_expt)
     if not -6.0 <= x <= 6.0:
         raise ValueError(f"chi_expt must lie in [-6, 6], got {chi_expt}")

@@ -1,4 +1,4 @@
-"""Exact algebra of signed Pauli strings on n qubits.
+"""Exact algebra of signed Pauli strings on the four qubits.
 
 A Pauli string is a scalar phase times a tensor product of single-qubit
 Pauli operators, stored as X/Z bit masks plus an integer power of i.
@@ -8,7 +8,7 @@ symbolic layer numerically.
 
 Conventions:
     * Qubits are numbered from 1 and qubit 1 is the most significant
-      tensor factor: ``to_matrix(p) == kron(p_1, p_2, ..., p_n)``.
+      tensor factor: ``to_matrix(p) == kron(p_1, p_2, p_3, p_4)``.
     * Mask bit ``j - 1`` carries qubit ``j``.
     * Internally a string is ``i**phase_exp * prod_j X^x_j Z^z_j``.
       A site with both bits set equals ``XZ = -iY``, so the phase shown
@@ -26,8 +26,6 @@ import numpy as np
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
-MATRIX_QUBIT_CAP = 6
-
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_EXP = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _SITE_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
@@ -42,41 +40,41 @@ _SITE_MATRIX = {
 
 @dataclass(frozen=True)
 class PauliString:
-    """Signed tensor product of single-qubit Pauli operators.
+    """Signed tensor product of single-qubit Pauli operators on the four qubits.
 
     Attributes:
-        n_qubits: Number of tensor factors (>= 1).
         x_mask: Bit j-1 set iff the factor on qubit j contains X.
         z_mask: Bit j-1 set iff the factor on qubit j contains Z.
         phase_exp: Exponent k of the internal phase i**k (reduced mod 4).
+
+    Raises:
+        ValueError: Unless every field is an int (not a bool) and both
+            masks lie in [0, 16).
     """
 
-    n_qubits: int
     x_mask: int
     z_mask: int
     phase_exp: int = 0
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        limit = 1 << self.n_qubits
-        if not 0 <= self.x_mask < limit or not 0 <= self.z_mask < limit:
+        for value in (self.x_mask, self.z_mask, self.phase_exp):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"masks and phase_exp must be ints, got {value!r}")
+        if not 0 <= self.x_mask < 16 or not 0 <= self.z_mask < 16:
             raise ValueError(
-                f"masks must fit in {self.n_qubits} bits: "
-                f"x={self.x_mask:#x}, z={self.z_mask:#x}"
-            )
+                f"masks must fit in 4 bits: x={self.x_mask:#x}, z={self.z_mask:#x}")
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0, 0)
+    def identity(cls) -> "PauliString":
+        return cls(0, 0)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
-        """Parse a letter-form label such as ``"ZIII"``, ``"-YY"`` or ``"+iXZ"``.
+        """Parse a letter-form label such as ``"ZIII"``, ``"-YYII"`` or ``"+iXZII"``.
 
         The optional prefix is one of ``+``, ``-``, ``+i``, ``-i``, ``i``
-        (lowercase i; uppercase I is the identity letter).
+        (lowercase i; uppercase I is the identity letter); four letters follow.
         """
         pos = 0
         while pos < len(label) and label[pos] not in "IXYZ":
@@ -84,8 +82,8 @@ class PauliString:
         prefix, letters = label[:pos], label[pos:]
         if prefix not in _PREFIX_EXP:
             raise ValueError(f"bad phase prefix {prefix!r} in label {label!r}")
-        if not letters:
-            raise ValueError(f"label {label!r} has no Pauli letters")
+        if len(letters) != 4:
+            raise ValueError(f"label {label!r} needs four Pauli letters, got {len(letters)}")
         x_mask = z_mask = 0
         phase_exp = _PREFIX_EXP[prefix]
         for j, letter in enumerate(letters):
@@ -97,7 +95,7 @@ class PauliString:
                 phase_exp += 1  # Y = i X Z
             if letter not in "IXYZ":
                 raise ValueError(f"bad Pauli letter {letter!r} in label {label!r}")
-        return cls(len(letters), x_mask, z_mask, phase_exp)
+        return cls(x_mask, z_mask, phase_exp)
 
     @property
     def y_overlap(self) -> int:
@@ -123,7 +121,7 @@ class PauliString:
     def letters(self) -> str:
         return "".join(
             _SITE_LETTER[(self.x_mask >> j) & 1, (self.z_mask >> j) & 1]
-            for j in range(self.n_qubits)
+            for j in range(4)
         )
 
     @property
@@ -134,7 +132,7 @@ class PauliString:
     def support(self) -> tuple[int, ...]:
         """1-based qubit numbers carrying a non-identity letter."""
         mask = self.x_mask | self.z_mask
-        return tuple(j + 1 for j in range(self.n_qubits) if (mask >> j) & 1)
+        return tuple(j + 1 for j in range(4) if (mask >> j) & 1)
 
     @property
     def weight(self) -> int:
@@ -155,17 +153,9 @@ def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
 
     Per site, ``(X^a Z^b)(X^c Z^d) = (-1)^(b*c) X^(a+c) Z^(b+d)``, so the
     product masks are XORs and the phase picks up i^(2 * |z_p & x_q|).
-
-    Raises:
-        ValueError: If the qubit counts differ.
     """
-    if p.n_qubits != q.n_qubits:
-        raise ValueError(
-            f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}"
-        )
     swaps = (p.z_mask & q.x_mask).bit_count()
     return PauliString(
-        p.n_qubits,
         p.x_mask ^ q.x_mask,
         p.z_mask ^ q.z_mask,
         p.phase_exp + q.phase_exp + 2 * swaps,
@@ -179,33 +169,18 @@ def pauli_product(strings) -> PauliString:
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff p and q commute (even symplectic inner product of masks)."""
-    if p.n_qubits != q.n_qubits:
-        raise ValueError(
-            f"qubit count mismatch: {p.n_qubits} vs {q.n_qubits}"
-        )
     parity = (p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()
     return parity % 2 == 0
 
 
+@lru_cache(maxsize=None)
 def to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n complex matrix of the string.
+    """Dense 16 x 16 complex matrix of the string.
 
     The returned array is cached and marked read-only; copy before mutating.
-
-    Raises:
-        ValueError: If ``p.n_qubits`` exceeds ``MATRIX_QUBIT_CAP``.
     """
-    if p.n_qubits > MATRIX_QUBIT_CAP:
-        raise ValueError(
-            f"refusing to build a 2^{p.n_qubits} matrix (cap is {MATRIX_QUBIT_CAP} qubits)"
-        )
-    return _matrix_cached(p)
-
-
-@lru_cache(maxsize=None)
-def _matrix_cached(p: PauliString) -> np.ndarray:
     m = np.array([[PHASES[p.phase_exp]]], dtype=complex)
-    for j in range(p.n_qubits):
+    for j in range(4):
         site = _SITE_MATRIX[(p.x_mask >> j) & 1, (p.z_mask >> j) & 1]
         m = np.kron(m, site)
     m.flags.writeable = False

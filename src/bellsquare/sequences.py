@@ -136,7 +136,7 @@ def _setting_table(labels: tuple[str, ...]):
     characters signed by the products' phases, of one setting: subset c holds the
     observables at the set bits of c, and outcome tuple r is -1 at the set bits of r."""
     products = [
-        pauli_product(OBSERVABLES[lab] if t else PauliString.identity(4)
+        pauli_product(OBSERVABLES[lab] if t else PauliString.identity()
                       for lab, t in zip(labels, subset))
         for subset in product((False, True), repeat=len(labels))]
     characters = reduce(np.kron, [np.array([[1, 1], [1, -1]])] * len(labels)) / 2 ** len(labels)

@@ -112,6 +112,8 @@ class DensityState:
 
 
 def _check_visibility(visibility: float) -> float:
+    if isinstance(visibility, (bool, str)):
+        raise ValueError(f"visibility must be a number, got {visibility!r}")
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
@@ -156,11 +158,9 @@ def expectation(rho: DensityState, obs: PauliString) -> float:
         A real value in [-1, 1].
 
     Raises:
-        ValueError: On an observable not on 4 qubits or not Hermitian.
+        ValueError: On an observable that is not Hermitian.
         RuntimeError: On a value out of range by more than ``EIGENVALUE_TOL``.
     """
-    if obs.n_qubits != 4:
-        raise ValueError(f"observable acts on {obs.n_qubits} qubits, the state on 4")
     if not obs.is_hermitian:
         raise ValueError(f"observable {obs.label} is not Hermitian")
     real = obs.phase.real * float(rho.coefficients[_coefficient_index(obs)])

@@ -16,6 +16,7 @@ CASES = {
     "identities": ["identities"],
     "quantum_v05": ["quantum", "--visibility", "0.5"],
     "hv_bound_signed": ["hv-bound", "--variant", "signed"],
+    "hv_bound_both": ["hv-bound", "--variant", "both"],
     "sweep_small": ["sweep", "--grid", "0:1:0.25"],
     "sample_small": ["sample", "--shots", "2000", "--seed", "7", "--visibility", "0.9"],
 }

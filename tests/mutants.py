@@ -160,6 +160,11 @@ MUTANTS = (
            "gather = columns * 16 + np.arange(16)",
            "gather = columns * 15 + np.arange(16)",
            ("test_states.py",)),
+    # A label of any nonzero letter count parses, so "ZZ" reads as ZZII.
+    Mutant("from_label accepts any letter count", "pauli.py",
+           "if len(letters) != 4:",
+           "if not letters:",
+           ("test_pauli.py",)),
 )
 
 

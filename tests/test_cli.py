@@ -417,6 +417,7 @@ class TestGolden:
             ("hv_bound_signed", ["hv-bound", "--variant", "signed"]),
             ("sweep_small", ["sweep", "--grid", "0:1:0.25"]),
             ("sample_small", ["sample", "--shots", "2000", "--seed", "7", "--visibility", "0.9"]),
+            ("hv_bound_both", ["hv-bound", "--variant", "both"]),
         ],
     )
     def test_payload_matches_golden(self, name, argv, capsys):

@@ -164,7 +164,7 @@ class TestQuantumMaximum:
         # 16 one-dimensional joint eigenspaces; W takes one integer on each.
         stabilizers = [PauliString.from_label(s) for s in ("-ZIZI", "-XIXI", "-IZIZ", "-IXIX")]
         assert all(commutes(p, q) for p in stabilizers for q in stabilizers)
-        identity = PauliString.identity(4)
+        identity = PauliString.identity()
         group = {}
         for subset in itertools.product((0, 1), repeat=4):
             g = pauli_product([identity, *(p for p, t in zip(stabilizers, subset) if t)])
@@ -394,6 +394,11 @@ class TestVisibilityThreshold:
         for bad in (-6.1, 6.1):
             with pytest.raises(ValueError):
                 visibility_threshold(bad)
+
+    @pytest.mark.parametrize("bad", [True, False, "6", "5.3"])
+    def test_refuses_bool_and_str(self, bad):
+        with pytest.raises(ValueError, match="chi_expt must be a number"):
+            visibility_threshold(bad)
 
     def test_inverts_engine_sweep(self):
         crossing = find_violation_threshold(tol=1e-10)

@@ -5,38 +5,47 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellsquare import OBSERVABLES, PauliString, commutes, pauli_mul, pauli_product, to_matrix
-from bellsquare.pauli import MATRIX_QUBIT_CAP
 
 from conftest import oracle_matrix
 
 
 class TestConstruction:
     def test_from_label_round_trip(self):
-        for label in ("+ZIII", "-YYII", "+iXZ", "-iY", "+IIII", "+X"):
+        for label in ("+ZIII", "-YYII", "+iXZII", "-iYIII", "+IIII", "+XIII"):
             p = PauliString.from_label(label)
             assert p.label == label
 
     def test_default_prefix_is_plus(self):
-        assert PauliString.from_label("XX") == PauliString.from_label("+XX")
+        assert PauliString.from_label("XXII") == PauliString.from_label("+XXII")
 
     def test_identity(self):
-        p = PauliString.identity(4)
+        p = PauliString.identity()
         assert p.is_identity
         assert p.label == "+IIII"
 
     def test_bad_labels(self):
-        for label in ("", "+", "Q", "X?Z", "*XX"):
+        for label in ("", "+", "Q", "X?ZI", "*XXII"):
             with pytest.raises(ValueError):
                 PauliString.from_label(label)
 
+    @pytest.mark.parametrize("label", ["ZZ", "XIIII", "-iY"])
+    def test_from_label_needs_four_letters(self, label):
+        with pytest.raises(ValueError, match="four Pauli letters"):
+            PauliString.from_label(label)
+
     def test_mask_bounds(self):
-        with pytest.raises(ValueError):
-            PauliString(2, 0b100, 0)
-        with pytest.raises(ValueError):
-            PauliString(0, 0, 0)
+        for masks in ((16, 0), (0, 16), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="4 bits"):
+                PauliString(*masks)
+
+    @pytest.mark.parametrize("fields", [(1.5, 0), (True, 0), (0, False), (0, 0, 0.5), (0, 0, True),
+                                        ("1", 0)])
+    def test_refuses_non_int_fields(self, fields):
+        with pytest.raises(ValueError, match="must be ints"):
+            PauliString(*fields)
 
     def test_phase_exp_normalized(self):
-        assert PauliString(1, 1, 0, 5).phase_exp == 1
+        assert PauliString(1, 0, 5).phase_exp == 1
 
     def test_support_and_weight(self):
         p = PauliString.from_label("XIZY")
@@ -45,23 +54,23 @@ class TestConstruction:
 
     def test_y_carries_exact_phase(self):
         # Y is stored as iXZ, so the letter-form phase of a bare Y is +1.
-        y = PauliString.from_label("Y")
+        y = PauliString.from_label("YIII")
         assert y.phase == 1
         assert y.is_hermitian
-        assert np.allclose(to_matrix(y), np.array([[0, -1j], [1j, 0]]))
+        assert np.allclose(to_matrix(y), np.kron(np.array([[0, -1j], [1j, 0]]), np.eye(8)))
 
 
 class TestProduct:
     def test_single_qubit_xz(self):
-        x = PauliString.from_label("X")
-        z = PauliString.from_label("Z")
-        assert (x * z).label == "-iY"
-        assert (z * x).label == "+iY"
+        x = PauliString.from_label("XIII")
+        z = PauliString.from_label("ZIII")
+        assert (x * z).label == "-iYIII"
+        assert (z * x).label == "+iYIII"
 
     def test_xy_and_yz(self):
-        x, y, z = (PauliString.from_label(s) for s in "XYZ")
-        assert (x * y).label == "+iZ"
-        assert (y * z).label == "+iX"
+        x, y, z = (PauliString.from_label(s + "III") for s in "XYZ")
+        assert (x * y).label == "+iZIII"
+        assert (y * z).label == "+iXIII"
 
     def test_sequence_product_identity(self):
         # A * B * C multiplies to +Identity.
@@ -74,8 +83,10 @@ class TestProduct:
         assert prod.phase == -1
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            pauli_mul(PauliString.from_label("X"), PauliString.from_label("XX"))
+        # A string on one qubit is refused when built, so no product meets
+        # two widths.
+        with pytest.raises(ValueError, match="four Pauli letters"):
+            PauliString.from_label("X")
 
     def test_involution_for_observables(self):
         # Every observable squares to +Identity.
@@ -86,7 +97,7 @@ class TestProduct:
         rng = np.random.default_rng(20240817)
         for _ in range(1000):
             p, q, r = (
-                PauliString(4, int(rng.integers(16)), int(rng.integers(16)), int(rng.integers(4)))
+                PauliString(int(rng.integers(16)), int(rng.integers(16)), int(rng.integers(4)))
                 for _ in range(3)
             )
             assert pauli_mul(pauli_mul(p, q), r) == pauli_mul(p, pauli_mul(q, r))
@@ -108,13 +119,15 @@ class TestCommutes:
                 assert commutes(trio[i], trio[j])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            commutes(PauliString.from_label("X"), PauliString.from_label("XX"))
+        # A mask with a fifth qubit is refused when built, so commutes never
+        # meets two widths.
+        with pytest.raises(ValueError, match="4 bits"):
+            PauliString(0, 1 << 4)
 
 
 class TestToMatrix:
     def test_identity_matrix(self):
-        assert np.array_equal(to_matrix(PauliString.identity(1)), np.eye(2))
+        assert np.array_equal(to_matrix(PauliString.identity()), np.eye(16))
 
     def test_gamma_is_yy(self):
         gamma = OBSERVABLES["γ"]
@@ -140,26 +153,29 @@ class TestToMatrix:
         assert np.max(np.abs(numeric - np.eye(16))) <= 1e-12
 
     def test_qubit_cap(self):
-        with pytest.raises(ValueError):
-            to_matrix(PauliString.identity(MATRIX_QUBIT_CAP + 1))
-        dim = 1 << MATRIX_QUBIT_CAP
-        assert to_matrix(PauliString.identity(MATRIX_QUBIT_CAP)).shape == (dim, dim)
+        # No string wider than four qubits can be built, so every matrix is
+        # 16 x 16, cached and read-only.
+        with pytest.raises(ValueError, match="four Pauli letters"):
+            PauliString.from_label("IIIII")
+        m = to_matrix(PauliString.from_label("YYYY"))
+        assert m.shape == (16, 16)
+        assert to_matrix(PauliString.from_label("YYYY")) is m
+        assert not m.flags.writeable
 
     def test_hermiticity_flag_matches_matrix(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            p = PauliString(3, int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(4)))
+            p = PauliString(int(rng.integers(16)), int(rng.integers(16)), int(rng.integers(4)))
             m = to_matrix(p)
             assert p.is_hermitian == bool(np.allclose(m, m.conj().T))
 
 
 @st.composite
 def pauli_pairs(draw):
-    """Two random signed Pauli strings on the same 1 to 3 qubits."""
-    n = draw(st.integers(1, 3))
-    masks = st.integers(0, (1 << n) - 1)
+    """Two random signed four-qubit Pauli strings."""
+    masks = st.integers(0, 15)
     return tuple(
-        PauliString(n, draw(masks), draw(masks), draw(st.integers(0, 3)))
+        PauliString(draw(masks), draw(masks), draw(st.integers(0, 3)))
         for _ in range(2)
     )
 

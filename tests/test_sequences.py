@@ -30,7 +30,7 @@ from bellsquare import (
     sequence_distribution,
     uniform01,
 )
-from bellsquare import inequality, pauli, sequences, states
+from bellsquare import inequality, observables, pauli, sequences, states
 from bellsquare.sequences import (
     MAX_RECORDS,
     _COUNT_CHUNK,
@@ -155,12 +155,12 @@ class TestSequenceDistribution:
         specs = [SequenceSpec(name) for name in SEQUENCE_ORDER]
         specs += [SequenceSpec(t.sequence, t.bob) for t in S_TERMS]
         assert len(specs) == 18
-        observables = list(OBSERVABLES.values())
-        observables += [pauli_mul(OBSERVABLES[t.alice], OBSERVABLES[t.bob]) for t in S_TERMS]
+        operators = list(OBSERVABLES.values())
+        operators += [pauli_mul(OBSERVABLES[t.alice], OBSERVABLES[t.bob]) for t in S_TERMS]
 
         def read():
             return (omega(rho), [sequence_distribution(rho, spec).entries for spec in specs],
-                    [expectation(rho, obs) for obs in observables])
+                    [expectation(rho, obs) for obs in operators])
 
         first = read()
 
@@ -169,7 +169,7 @@ class TestSequenceDistribution:
 
         for module in (pauli, states, sequences, inequality):
             monkeypatch.setattr(module, "to_matrix", refuse, raising=False)
-        monkeypatch.setattr(pauli, "_matrix_cached", refuse)
+        monkeypatch.setattr(observables, "to_matrix", refuse)
         again = read()
         assert again[0].chi_terms == first[0].chi_terms
         assert again[0].s_terms == first[0].s_terms

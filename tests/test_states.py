@@ -218,6 +218,11 @@ class TestWernerPair:
         with pytest.raises(ValueError, match="visibility"):
             four_qubit_state(bad)
 
+    @pytest.mark.parametrize("bad", [True, False, "1", "0.5"])
+    def test_refuses_bool_and_str(self, bad):
+        with pytest.raises(ValueError, match="visibility must be a number"):
+            four_qubit_state(bad)
+
     def test_validates_once(self, monkeypatch):
         # Only the returned 16×16 state is validated, not a pair on the way.
         calls = []
@@ -283,9 +288,10 @@ class TestExpectation:
         with pytest.raises(ValueError, match="Hermitian"):
             expectation(ideal_state, PauliString.from_label("+iZZII"))
 
-    def test_dimension_mismatch(self, ideal_state):
-        with pytest.raises(ValueError, match="2 qubits"):
-            expectation(ideal_state, PauliString.from_label("ZZ"))
+    def test_dimension_mismatch(self):
+        # A string on any other number of qubits cannot be built.
+        with pytest.raises(ValueError, match="four Pauli letters"):
+            PauliString.from_label("ZZ")
 
     def test_result_in_range(self, ideal_state):
         for obs in OBSERVABLES.values():
