@@ -28,6 +28,7 @@ from .sequences import (
     OutcomeDistribution,
     SequenceSpec,
     ShotRecord,
+    ShotRecords,
     bob_marginal,
     derive_seed,
     sample,
@@ -72,9 +73,9 @@ __all__ = [
     "S_TERMS", "SEQUENCE_ORDER", "SEQUENCES", "STermSpec",
     "mermin_square_check",
     "DensityState", "expectation", "four_qubit_state",
-    "OutcomeDistribution", "SequenceSpec", "ShotRecord", "bob_marginal",
-    "derive_seed", "sample", "sample_outcomes", "sequence_distribution",
-    "uniform01",
+    "OutcomeDistribution", "SequenceSpec", "ShotRecord", "ShotRecords",
+    "bob_marginal", "derive_seed", "sample", "sample_outcomes",
+    "sequence_distribution", "uniform01",
     "ChiTerms", "InequalityReport", "LOCAL_OMEGA_BOUND",
     "NONCONTEXTUAL_CHI_BOUND", "STerms", "SampledInequality",
     "estimate_inequality", "fidelity_from_visibility",

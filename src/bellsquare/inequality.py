@@ -58,6 +58,7 @@ from .observables import (
     SEQUENCE_ORDER,
     SEQUENCES,
     _checked_int,
+    _checked_real,
 )
 from .pauli import pauli_product
 from .sequences import SequenceSpec, _count_settings, derive_seed, sequence_distribution
@@ -162,12 +163,7 @@ def omega(rho: DensityState) -> InequalityReport:
 
 
 def _check_chi_expt(chi_expt: float) -> float:
-    if isinstance(chi_expt, (bool, str)):
-        raise ValueError(f"chi_expt must be a number, got {chi_expt!r}")
-    x = float(chi_expt)
-    if not -6.0 <= x <= 6.0:
-        raise ValueError(f"chi_expt must lie in [-6, 6], got {chi_expt}")
-    return x
+    return _checked_real("chi_expt", chi_expt, -6, 6)
 
 
 def visibility_threshold(chi_expt: float) -> float:

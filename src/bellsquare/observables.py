@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -176,3 +176,14 @@ def _checked_int(name: str, value, low=float("-inf"), high=float("inf")) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < high:
         raise ValueError(f"{name} must lie in [{low}, {high}) and be an integer, got {value!r}")
     return int(value)
+
+
+def _checked_real(name: str, value, low: float, high: float) -> float:
+    """``value`` as a float; ``ValueError`` for a bool (numpy's too), a
+    non-real such as a str or bytes, or a value not in [low, high]."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    x = float(value)
+    if not low <= x <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    return x

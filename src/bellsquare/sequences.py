@@ -16,7 +16,9 @@ coefficients into the distribution, with no sampling.  The distributions
 serve the sampler, which emulates a finite-shot experiment by drawing
 whole outcome tuples by inverse CDF, and Bob's no-signalling marginal
 (``bob_marginal``); the exact chi terms and correlators are read by
-``inequality.omega`` alone.
+``inequality.omega`` alone.  ``sample`` draws a run's outcomes once, as
+the int8 array of ``sample_outcomes``, and returns them as ``ShotRecords``,
+which builds each ``ShotRecord`` from its row only when it is read.
 
 Reproducibility contract: randomness comes from a SplitMix64 counter
 stream.  Draw ``i`` (0-based) of the stream with seed ``s`` is::
@@ -47,10 +49,11 @@ are powers of two.  ``uniform01`` stays the reference for the stream.
 
 from __future__ import annotations
 
-import gc
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import product, repeat
 from typing import NamedTuple
 
@@ -130,6 +133,49 @@ class ShotRecord(NamedTuple):
     seed: int
 
 
+# The ±1 outcome tuples of length 3 and 4, indexed by the bit code of their
+# -1 entries with the first entry the most significant bit; the settings'
+# distributions and every shot record share these tuples.
+_OUTCOME_TUPLES = {k: tuple(product((1, -1), repeat=k)) for k in (3, 4)}
+
+
+@dataclass(frozen=True, eq=False)
+class ShotRecords(Sequence):
+    """The records of one ``sample`` run, backed by its read-only int8
+    ``outcomes`` array of shape (shots, 3 or 4).
+
+    Record i is ``ShotRecord(spec, outcomes, i, seed)``, built when it is
+    read, with the row's outcomes as the shared tuple of Python ints of its
+    sign pattern.  Two runs compare by identity; compare their records as
+    lists, or their ``outcomes`` arrays.
+    """
+
+    spec: SequenceSpec
+    seed: int
+    outcomes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def _codes(self, rows: np.ndarray) -> np.ndarray:
+        """Bit code of the -1 entries of each row, an index into ``_OUTCOME_TUPLES``."""
+        width = self.outcomes.shape[1]
+        return (rows < 0) @ (1 << np.arange(width - 1, -1, -1))
+
+    def __getitem__(self, index: int) -> ShotRecord:
+        shot = range(len(self))[operator.index(index)]
+        cells = _OUTCOME_TUPLES[self.outcomes.shape[1]]
+        return ShotRecord(self.spec, cells[self._codes(self.outcomes[shot])], shot, self.seed)
+
+    def __iter__(self) -> Iterator[ShotRecord]:
+        # tuple.__new__ is what ShotRecord._make calls, minus a Python frame
+        # and a length check; zip always yields the four fields.
+        cells = _OUTCOME_TUPLES[self.outcomes.shape[1]]
+        return map(tuple.__new__, repeat(ShotRecord), zip(
+            repeat(self.spec), map(cells.__getitem__, self._codes(self.outcomes).tolist()),
+            range(len(self)), repeat(self.seed)))
+
+
 @cache
 def _setting_table(labels: tuple[str, ...]):
     """Outcome tuples, the coefficient indices of the subset products and 2^-k ·
@@ -144,7 +190,7 @@ def _setting_table(labels: tuple[str, ...]):
     indices = np.array([_coefficient_index(p) for p in products])
     # Shared by every caller through the cache.
     characters.flags.writeable = indices.flags.writeable = False
-    return tuple(product((1, -1), repeat=len(labels))), indices, characters
+    return _OUTCOME_TUPLES[len(labels)], indices, characters
 
 
 def sequence_distribution(rho: DensityState, spec: SequenceSpec) -> OutcomeDistribution:
@@ -295,18 +341,14 @@ def _count_settings(
             for (cells, _), tally in zip(tables, tallies)]
 
 
-def sample(rho: DensityState, spec: SequenceSpec, shots: int, seed: int) -> list[ShotRecord]:
+def sample(rho: DensityState, spec: SequenceSpec, shots: int, seed: int) -> ShotRecords:
     """Simulate ``shots`` runs of one setting; bit-reproducible for a seed.
 
-    Draws exactly what ``sample_outcomes`` draws.  Records sharing an
-    outcome share one tuple of Python ints, and each record's ``seed`` is
-    a plain ``int``.  At most ``MAX_RECORDS`` records are built;
-    ``estimate_inequality`` keeps only outcome counts and takes any shot
-    count.
-
-    The process-wide cyclic garbage collector is paused while the records
-    are built and re-enabled afterwards if it was enabled on entry, so a
-    thread that disables it during that window finds it enabled again.
+    The records' ``outcomes`` array is exactly what ``sample_outcomes``
+    draws from the setting's distribution, and each record is built from
+    its row when it is read.  At most ``MAX_RECORDS`` records, checked
+    before anything is built; ``estimate_inequality`` keeps only outcome
+    counts and takes any shot count.
     """
     shots = _checked_int("shots", shots, 1)
     if shots > MAX_RECORDS:
@@ -315,19 +357,6 @@ def sample(rho: DensityState, spec: SequenceSpec, shots: int, seed: int) -> list
             "use estimate_inequality, which keeps only outcome counts"
         )
     seed = _checked_int("seed", seed)
-    cells, cumulative = _inverse_cdf(sequence_distribution(rho, spec))
-    picks = np.searchsorted(cumulative, uniform01(seed, shots), side="right").tolist()
-    # Each record holds the spec, so it is a GC-tracked tuple, and CPython
-    # starts collections by allocation count: building one huge list would
-    # walk the whole growing heap again and again.  The records hold no
-    # reference cycles, so pausing the collector frees nothing later.
-    # tuple.__new__ is what ShotRecord._make calls, minus a Python frame
-    # and a length check; zip always yields the four fields.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(map(partial(tuple.__new__, ShotRecord), zip(
-            repeat(spec), map(cells.__getitem__, picks), range(shots), repeat(seed))))
-    finally:
-        if enabled:
-            gc.enable()
+    outcomes = sample_outcomes(sequence_distribution(rho, spec), shots, seed)
+    outcomes.flags.writeable = False
+    return ShotRecords(spec, seed, outcomes)

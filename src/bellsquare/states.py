@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .observables import _checked_real
 from .pauli import PHASES, PauliString
 
 TRACE_TOL = 1e-10
@@ -112,12 +113,7 @@ class DensityState:
 
 
 def _check_visibility(visibility: float) -> float:
-    if isinstance(visibility, (bool, str)):
-        raise ValueError(f"visibility must be a number, got {visibility!r}")
-    v = float(visibility)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    return v
+    return _checked_real("visibility", visibility, 0, 1)
 
 
 def _singlet() -> np.ndarray:

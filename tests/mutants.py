@@ -119,6 +119,18 @@ MUTANTS = (
            'PAIR_SIGNS = {"B": -1,',
            'PAIR_SIGNS = {"B": 1,',
            ("test_inequality.py",)),
+    # The records' outcome array can be written through, so one caller can
+    # change the shots that every reader of the records sees.
+    Mutant("shot records' outcome array left writeable", "sequences.py",
+           "outcomes.flags.writeable = False",
+           "pass",
+           ("test_sequences.py",)),
+    # Iterated records number their shots from 1, so record i no longer
+    # holds shot i.
+    Mutant("iterated shot indices start at 1", "sequences.py",
+           "range(len(self)), repeat(self.seed)",
+           "range(1, len(self) + 1), repeat(self.seed)",
+           ("test_sequences.py",)),
     # Cells of probability 0, and rounding noise down to -1e-12, are kept
     # in the distribution in place of being dropped.
     Mutant("zero-probability cells kept", "sequences.py",

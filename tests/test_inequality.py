@@ -395,7 +395,10 @@ class TestVisibilityThreshold:
             with pytest.raises(ValueError):
                 visibility_threshold(bad)
 
-    @pytest.mark.parametrize("bad", [True, False, "6", "5.3"])
+    # A numpy bool is no number, and bytes are no more a number than a str.
+    @pytest.mark.parametrize("bad", [True, False, "6", "5.3", *(
+        pytest.param(value, id=repr(value))
+        for value in (np.True_, np.bool_(0), b"1", bytearray(b"1")))])
     def test_refuses_bool_and_str(self, bad):
         with pytest.raises(ValueError, match="chi_expt must be a number"):
             visibility_threshold(bad)
@@ -429,6 +432,12 @@ class TestFidelity:
     def test_domain(self):
         with pytest.raises(ValueError):
             fidelity_from_visibility(1.2)
+
+    @pytest.mark.parametrize("bad", [True, np.True_, np.bool_(0), "1", b"1", bytearray(b"1")],
+                             ids=repr)
+    def test_refuses_bool_str_and_bytes(self, bad):
+        with pytest.raises(ValueError, match="visibility must be a number"):
+            fidelity_from_visibility(bad)
 
 
 class TestSweep:

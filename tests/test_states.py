@@ -218,7 +218,10 @@ class TestWernerPair:
         with pytest.raises(ValueError, match="visibility"):
             four_qubit_state(bad)
 
-    @pytest.mark.parametrize("bad", [True, False, "1", "0.5"])
+    # A numpy bool is no number, and bytes are no more a number than a str.
+    @pytest.mark.parametrize("bad", [True, False, "1", "0.5", *(
+        pytest.param(value, id=repr(value))
+        for value in (np.True_, np.bool_(0), b"1", bytearray(b"1")))])
     def test_refuses_bool_and_str(self, bad):
         with pytest.raises(ValueError, match="visibility must be a number"):
             four_qubit_state(bad)
