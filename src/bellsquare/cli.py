@@ -9,11 +9,11 @@ Subcommands:
 
 Reports are JSON (CSV is available for the sweep table only).  All floats
 are serialized with 12 significant digits.  Exit codes: 0 all checks
-passed, 1 a physics check failed, 2 usage error (an unwritable report
-path included).  When ``--out`` is not
-given and the environment variable ``BELLSQUARE_OUT`` names a directory,
-the report is written there as ``<command>.<format>``; otherwise it goes
-to stdout.
+passed, 1 a physics check failed, 2 usage error (an option that the
+library's own check refuses, ``sweep``'s for the ``--grid`` points, or an
+unwritable report path).  When ``--out`` is not given and the environment
+variable ``BELLSQUARE_OUT`` names a directory, the report is written there
+as ``<command>.<format>``; otherwise it goes to stdout.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from itertools import count, takewhile
 
 from . import __version__
 from .hv_models import (
@@ -43,14 +44,17 @@ from .hv_models import (
 )
 from .inequality import (
     LOCAL_OMEGA_BOUND,
+    MAX_GRID_POINTS,
     NONCONTEXTUAL_CHI_BOUND,
     _check_chi_expt,
+    _check_grid,
+    _check_shots,
     estimate_inequality,
     omega,
     sweep,
     visibility_threshold,
 )
-from .observables import CHI_SIGNS, OBSERVABLES, SEQUENCE_ORDER, _checked_int, mermin_square_check
+from .observables import CHI_SIGNS, OBSERVABLES, SEQUENCE_ORDER, mermin_square_check
 from .states import _check_visibility, four_qubit_state
 
 OUTPUT_DIR_ENV = "BELLSQUARE_OUT"
@@ -61,9 +65,6 @@ EXIT_USAGE = 2
 
 IDENTITY_MATRIX_TOL = 1e-12
 CHI_CONSTANCY_TOL = 1e-9
-# Largest sweep grid, the point count of 0:1:1e-5; checked before the grid
-# is built, so a tiny step cannot fill memory.
-MAX_GRID_POINTS = 100_001
 
 
 # The inequality values of a report, in the order that the witness, sample
@@ -231,7 +232,7 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
 
 
 def cmd_sweep(args) -> tuple[dict, bool]:
-    result = sweep(args.grid_points)  # parsed once, by _validate
+    result = sweep(args.grid_points)  # parsed and checked once, by _validate
     rows = [{"visibility": v, **{name: getattr(r, name) for name in _VALUES}}
             for v, r in zip(result.grid, result.reports)]
     chi_measured = result.reports[0].chi
@@ -272,28 +273,17 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid parts must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    if not (0.0 <= start < stop <= 1.0):
-        raise ValueError(f"grid must satisfy 0 <= start < stop <= 1, got {text!r}")
-    too_many = f"grid {text!r} has more than {MAX_GRID_POINTS} points"
-    # With a slack over half a step the loop below would clamp whole steps to stop.  It
-    # builds floor(this) + 1 points, then stop if the last falls short (length-checked below).
+    if not start < stop:
+        raise ValueError(f"grid must satisfy start < stop, got {text!r}")
+    # With a slack over half a step the points below would clamp whole steps to stop.
+    # They are floor(this) + 1, then stop if the last falls short.
     slack = min(1e-12, step / 2)
     if (stop + slack - start) / step >= MAX_GRID_POINTS:
-        raise ValueError(too_many)
-    values = []
-    i = 0
-    while True:
-        v = start + i * step
-        if v > stop + slack:
-            break
-        values.append(_round12(min(v, stop)))
-        i += 1
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    points = takewhile(lambda v: v <= stop + slack, (start + i * step for i in count()))
+    values = [_round12(min(v, stop)) for v in points]
     if values[-1] < stop - slack:
         values.append(stop)
-    if len(values) > MAX_GRID_POINTS:
-        raise ValueError(too_many)
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"grid {text!r} repeats points once rounded to 12 significant digits")
     return values
 
 
@@ -343,8 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="seeded finite-shot estimates")
     p.add_argument("--visibility", type=visibility, default=1.0)
-    p.add_argument("--shots", type=_option(int, functools.partial(_checked_int, "shots", low=1)),
-                   default=1_000_000, help="shots per (sequence, Bob observable) setting")
+    p.add_argument("--shots", type=_option(int, _check_shots), default=1_000_000,
+                   help="shots per (sequence, Bob observable) setting")
     p.add_argument("--seed", type=int, default=42)
     add_output_flags(p)
 
@@ -365,9 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(parser: argparse.ArgumentParser, args) -> None:
     if args.command == "sweep":
         try:
-            args.grid_points = _parse_grid(args.grid)
+            args.grid_points = _check_grid(_parse_grid(args.grid))
         except ValueError as exc:
-            parser.error(str(exc))
+            parser.error(f"argument --grid: {exc}")
 
 
 def _config_echo(args) -> dict:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
@@ -66,6 +67,8 @@ from .states import DensityState, _check_visibility, _coefficient_index, four_qu
 
 NONCONTEXTUAL_CHI_BOUND = 4.0
 LOCAL_OMEGA_BOUND = 16.0
+# Largest sweep grid, the point count of 0:1:1e-5; each point's report holds about 1.3 KB.
+MAX_GRID_POINTS = 100_001
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,24 @@ def _check_chi_expt(chi_expt: float) -> float:
     return _checked_real("chi_expt", chi_expt, -6, 6)
 
 
+def _check_shots(shots: int) -> int:
+    """An integer in [1, 2**64): draw i of the stream uses the 64-bit counter i + 1."""
+    return _checked_int("shots", shots, 1, 2**64)
+
+
+def _check_grid(points) -> tuple[float, ...]:
+    """The grid as a tuple of 1 to ``MAX_GRID_POINTS`` strictly ascending visibilities;
+    at most ``MAX_GRID_POINTS + 1`` points are read, so an endless iterator is refused."""
+    grid = tuple(map(_check_visibility, islice(points, MAX_GRID_POINTS + 1)))
+    if not grid:
+        raise ValueError("the grid must not be empty")
+    if len(grid) > MAX_GRID_POINTS:
+        raise ValueError(f"the grid has more than {MAX_GRID_POINTS} points")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("the grid must be strictly ascending")
+    return grid
+
+
 def visibility_threshold(chi_expt: float) -> float:
     """Minimum visibility for violating the bound 16 at an observed chi.
 
@@ -205,15 +226,8 @@ class SweepResult:
 
 
 def sweep(v_grid) -> SweepResult:
-    """Evaluate the inequality on an ascending visibility grid."""
-    grid = tuple(float(v) for v in v_grid)
-    if not grid:
-        raise ValueError("v_grid must not be empty")
-    if any(not 0.0 <= v <= 1.0 for v in grid):
-        raise ValueError("grid values must lie in [0, 1]")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly ascending")
-
+    """Evaluate the inequality on 1 to ``MAX_GRID_POINTS`` strictly ascending visibilities."""
+    grid = _check_grid(v_grid)
     reports = tuple(omega(four_qubit_state(v)) for v in grid)
     bracket = None
     for i in range(1, len(grid)):
@@ -226,26 +240,17 @@ def sweep(v_grid) -> SweepResult:
     return SweepResult(grid=grid, reports=reports, crossing_bracket=bracket, crossing=crossing)
 
 
-def find_violation_threshold(lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10) -> float:
-    """Visibility where the engine's signed omega(V) reaches 16, by bisection.
-
-    Requires omega(lo) <= 16 <= omega(hi) and a finite ``tol > 0``.
-    Bisection also stops once the midpoint rounds to an endpoint, so a
-    ``tol`` below the float spacing still returns.
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-
+def find_violation_threshold(lo: float = 0.0, hi: float = 1.0) -> float:
+    """Visibility where the engine's signed omega(V) reaches 16: the midpoint
+    of a bisection down to width 1e-10; needs omega(lo) <= 16 <= omega(hi)."""
     def excess(v: float) -> float:
         return omega(four_qubit_state(v)).omega_signed - LOCAL_OMEGA_BOUND
 
     f_lo, f_hi = excess(lo), excess(hi)
     if f_lo > 0 or f_hi < 0:
         raise ValueError(f"omega - 16 does not change sign on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            break
         if excess(mid) < 0:
             lo = mid
         else:
@@ -318,9 +323,9 @@ def estimate_inequality(visibility: float, shots: int, seed: int) -> SampledIneq
     over fixed chunks of draw indices, which cannot change it; a sum of ±1
     values is exact, so each estimate is the mean over the shots.
     The exact references are the terms of ``omega(rho)``.  ``shots`` must
-    be an integer >= 1 and ``seed`` an integer, else ``ValueError``.
+    be an integer in [1, 2**64) and ``seed`` an integer, else ``ValueError``.
     """
-    shots = _checked_int("shots", shots, 1)
+    shots = _check_shots(shots)
     seed = _checked_int("seed", seed)
     rho = four_qubit_state(visibility)
     exact = omega(rho)

@@ -178,10 +178,14 @@ def _checked_int(name: str, value, low=float("-inf"), high=float("inf")) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """True for a real number; a bool (numpy's too), a str or bytes is not one."""
+    return isinstance(value, Real) and not isinstance(value, (bool, np.bool_))
+
+
 def _checked_real(name: str, value, low: float, high: float) -> float:
-    """``value`` as a float; ``ValueError`` for a bool (numpy's too), a
-    non-real such as a str or bytes, or a value not in [low, high]."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
+    """``value`` as a float; ``ValueError`` unless it is ``_is_real`` and in [low, high]."""
+    if not _is_real(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
     x = float(value)
     if not low <= x <= high:

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES, _checked_int, _is_sign
+from .observables import BOB_LABELS, OBSERVABLES, SEQUENCES, _checked_int, _is_real, _is_sign
 from .pauli import PauliString, pauli_product
 from .states import DensityState, _coefficient_index
 
@@ -103,8 +103,8 @@ class OutcomeDistribution:
     """Exact joint distribution over ±1 outcome tuples for one spec.
 
     Entries hold only outcomes with nonzero probability; probabilities are
-    finite, no lower than -1e-12 (a zero after rounding) and sum to 1
-    within ``PROBABILITY_SUM_TOL``.
+    real numbers (no bool, str or bytes), finite, no lower than -1e-12 (a
+    zero after rounding) and sum to 1 within ``PROBABILITY_SUM_TOL``.
     """
 
     spec: SequenceSpec
@@ -119,8 +119,9 @@ class OutcomeDistribution:
                 )
             if not all(map(_is_sign, outcomes)):
                 raise ValueError(f"outcomes must be ±1, got {outcomes}")
-            if not (math.isfinite(prob) and prob >= -1e-12):
-                raise ValueError(f"negative or non-finite probability {prob} for {outcomes}")
+            if not (_is_real(prob) and math.isfinite(prob) and prob >= -1e-12):
+                raise ValueError(
+                    f"non-real, negative or non-finite probability {prob!r} for {outcomes}")
             total += prob
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")

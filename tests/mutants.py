@@ -149,6 +149,19 @@ MUTANTS = (
            "if excess(mid) < 0:",
            "if excess(mid) > 0:",
            ("test_inequality.py",)),
+    # A grid past MAX_GRID_POINTS is cut to MAX_GRID_POINTS + 1 points and
+    # swept, not refused.
+    Mutant("grid cap dropped", "inequality.py",
+           "if len(grid) > MAX_GRID_POINTS:",
+           "if False:",
+           ("test_inequality.py::TestSweep",)),
+    # A shot count past the stream's 2**64 - 1 draws is taken, and its
+    # counting pass would not end.
+    Mutant("shot count without its upper bound", "inequality.py",
+           '_checked_int("shots", shots, 1, 2**64)',
+           '_checked_int("shots", shots, 1)',
+           ("test_inequality.py::TestEstimate::test_shots_past_the_stream_refused_before_counting",
+            "test_cli.py::TestExitCodes::test_shots_past_the_stream_are_usage_error")),
     # A deterministic term off its exact value reads z = 0, so a χ term one
     # shot off its ±1 passes the 5σ gate.
     Mutant("deterministic term off its value reads z = 0", "inequality.py",

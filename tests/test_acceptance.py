@@ -146,7 +146,7 @@ def test_criterion_6_visibility_threshold():
         root = (math.sqrt(21) - 1) / 4
         assert bs.visibility_threshold(6.0) == pytest.approx(root, abs=1e-12)
 
-        crossing = bs.find_violation_threshold(tol=1e-9)
+        crossing = bs.find_violation_threshold()
         assert crossing == pytest.approx(bs.visibility_threshold(6.0), abs=1e-6)
 
         assert 0.930 <= bs.visibility_threshold(5.30) <= 0.934

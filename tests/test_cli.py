@@ -56,6 +56,16 @@ class TestExitCodes:
             main(["sample", "--shots", "0"])
         assert excinfo.value.code == 2
 
+    def test_shots_past_the_stream_are_usage_error(self, capsys, monkeypatch):
+        def uncounted(*args):
+            raise AssertionError("the counting pass ran")
+
+        monkeypatch.setattr(bellsquare.inequality, "_count_settings", uncounted)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", "--shots", str(2**64)])
+        assert excinfo.value.code == 2
+        assert "argument --shots: " in capsys.readouterr().err
+
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -88,7 +98,8 @@ class TestExitCodes:
         assert f"argument {argv[1]}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "grid", ["0:2:0.5", "0:1:nan", "0:1:inf", "0.5:0.5000000000001:1e-14", "0:1:1e-9"]
+        "grid", ["0:2:0.5", "0:1:nan", "0:1:inf", "0.5:0.5000000000001:1e-14", "0:1:1e-9",
+                 "-0.5:1:0.5", "1:0:0.5", "0:1", "0:1:x"]
     )
     def test_bad_grid_is_usage_error(self, capsys, grid):
         with pytest.raises(SystemExit) as excinfo:
@@ -369,10 +380,10 @@ class TestParserReuse:
         output = {"format": "json", "out": None}
         assert seen == [
             {"command": "sweep", "grid": "0.85:0.95:0.05", "chi_expt": 5.3, **output,
-             "grid_points": [0.85, 0.9, 0.95]},
+             "grid_points": (0.85, 0.9, 0.95)},
             {"command": "quantum", "visibility": 0.9, **output},
             {"command": "sweep", "grid": "0:1:0.5", "chi_expt": None, **output,
-             "grid_points": [0.0, 0.5, 1.0]},
+             "grid_points": (0.0, 0.5, 1.0)},
         ]
 
 

@@ -32,7 +32,8 @@ from bellsquare import (
     sweep,
     visibility_threshold,
 )
-from bellsquare.inequality import TermEstimate, _report
+from bellsquare import inequality
+from bellsquare.inequality import MAX_GRID_POINTS, TermEstimate, _check_grid, _report
 
 from conftest import (
     LETTER_DEFS,
@@ -318,8 +319,15 @@ class TestExactCertificate:
         assert _exact_omega_signed(v) == 6 + 4 * v + 8 * v * v
 
     def test_threshold_brackets_the_root(self):
-        # Bisection down to adjacent floats; the root lies within one ulp.
-        crossing = find_violation_threshold(tol=1e-300)
+        # Bisection of the engine down to adjacent floats; the root lies
+        # within one ulp of their midpoint.
+        lo, hi = 0.0, 1.0
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            if omega(four_qubit_state(mid)).omega_signed < 16:
+                lo = mid
+            else:
+                hi = mid
+        crossing = (lo + hi) / 2
         lo = Fraction(math.nextafter(crossing, 0.0))
         hi = Fraction(math.nextafter(crossing, 1.0))
         assert 8 * lo * lo + 4 * lo - 10 < 0 < 8 * hi * hi + 4 * hi - 10
@@ -404,20 +412,10 @@ class TestVisibilityThreshold:
             visibility_threshold(bad)
 
     def test_inverts_engine_sweep(self):
-        crossing = find_violation_threshold(tol=1e-10)
+        crossing = find_violation_threshold()
         assert crossing == pytest.approx(visibility_threshold(6.0), abs=1e-8)
         report = omega(four_qubit_state(visibility_threshold(6.0)))
         assert report.omega_signed == pytest.approx(16.0, abs=1e-8)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-    def test_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            find_violation_threshold(lo=0.85, hi=0.95, tol=tol)
-
-    def test_tolerance_below_float_spacing_returns(self):
-        crossing = find_violation_threshold(lo=0.85, hi=0.95, tol=1e-300)
-        assert 0.85 <= crossing <= 0.95
-        assert crossing == pytest.approx((math.sqrt(21) - 1) / 4, abs=1e-9)
 
 
 class TestFidelity:
@@ -491,6 +489,33 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([0.5, 0.5])
 
+    # As for four_qubit_state: a bool is no visibility, nor is a str or bytes.
+    @pytest.mark.parametrize("bad", [True, "0.5", b"0.5", None, *(
+        pytest.param(value, id=repr(value)) for value in (np.True_, np.bool_(0)))])
+    def test_refuses_points_that_are_no_visibility(self, bad):
+        with pytest.raises(ValueError, match="visibility must be a number"):
+            sweep([bad])
+
+    @pytest.mark.parametrize("endless", [False, True], ids=["list", "endless-iterator"])
+    def test_grid_past_the_cap_refused_before_any_state(self, monkeypatch, endless):
+        def unbuilt(visibility):
+            raise AssertionError("a state was built")
+
+        def points():
+            for i in itertools.count():
+                if i > MAX_GRID_POINTS:
+                    raise AssertionError("the grid was read past MAX_GRID_POINTS + 1 points")
+                yield i / (2 * MAX_GRID_POINTS)
+
+        monkeypatch.setattr(inequality, "four_qubit_state", unbuilt)
+        grid = points() if endless else list(itertools.islice(points(), MAX_GRID_POINTS + 1))
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+            sweep(grid)
+
+    def test_grid_at_the_cap_is_checked_whole(self):
+        grid = _check_grid(i / MAX_GRID_POINTS for i in range(MAX_GRID_POINTS))
+        assert len(grid) == MAX_GRID_POINTS and grid[-1] == (MAX_GRID_POINTS - 1) / MAX_GRID_POINTS
+
 
 class TestEstimate:
     def test_deterministic_at_full_visibility(self):
@@ -556,6 +581,17 @@ class TestEstimate:
     def test_shots_validated(self):
         with pytest.raises(ValueError):
             estimate_inequality(1.0, 0, seed=1)
+
+    def test_shots_past_the_stream_refused_before_counting(self, monkeypatch):
+        # Draw i uses the 64-bit counter i + 1, so 2**64 shots do not fit; counting them would not end.
+        def uncounted(*args):
+            raise AssertionError("the counting pass ran")
+
+        monkeypatch.setattr(inequality, "_count_settings", uncounted)
+        with pytest.raises(ValueError, match="shots"):
+            estimate_inequality(0.9, 2**64, 1)
+        with pytest.raises(AssertionError, match="counting pass"):
+            estimate_inequality(0.9, 2**64 - 1, 1)
 
     @pytest.mark.parametrize("name, bad", [
         ("shots", 2.5), ("shots", True), ("shots", -1), ("shots", "10"),

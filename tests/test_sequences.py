@@ -82,6 +82,12 @@ class TestOutcomeDistribution:
             with pytest.raises(ValueError, match="±1"):
                 OutcomeDistribution(SequenceSpec("ABC"), {outcomes: 1.0})
 
+    # As for a visibility: a bool is no probability, nor is a str or bytes.
+    @pytest.mark.parametrize("bad", [True, "1", b"1", None, pytest.param(np.True_, id="np.True_")])
+    def test_rejects_probability_that_is_no_number(self, bad):
+        with pytest.raises(ValueError, match="non-real"):
+            OutcomeDistribution(SequenceSpec("ABC"), {(1, 1, 1): bad})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("other", [None, 1.0])
     def test_rejects_non_finite_probability(self, bad, other):
