@@ -284,6 +284,17 @@ def _inverse_cdf(dist: OutcomeDistribution) -> tuple[list[tuple[int, ...]], np.n
     return cells, cumulative
 
 
+def _check_record_shots(shots: int) -> int:
+    """``shots`` as an int in [1, ``MAX_RECORDS``]; ``ValueError`` otherwise."""
+    shots = _checked_int("shots", shots, 1)
+    if shots > MAX_RECORDS:
+        raise ValueError(
+            f"shots={shots} exceeds MAX_RECORDS={MAX_RECORDS} shot records; "
+            "use estimate_inequality, which keeps only outcome counts"
+        )
+    return shots
+
+
 def sample_outcomes(
     dist: OutcomeDistribution, shots: int, seed: int, first_shot: int = 0
 ) -> np.ndarray:
@@ -296,7 +307,7 @@ def sample_outcomes(
     Returns:
         int8 array of shape (shots, tuple length) with ±1 entries.
     """
-    shots = _checked_int("shots", shots, 1, MAX_RECORDS + 1)
+    shots = _check_record_shots(shots)
     first_shot = _checked_int("first_shot", first_shot, 0, 2**64 - shots)
     cells, cumulative = _inverse_cdf(dist)
     picks = np.searchsorted(cumulative, uniform01(seed, shots, first_shot), side="right")
@@ -351,12 +362,7 @@ def sample(rho: DensityState, spec: SequenceSpec, shots: int, seed: int) -> Shot
     before anything is built; ``estimate_inequality`` keeps only outcome
     counts and takes any shot count.
     """
-    shots = _checked_int("shots", shots, 1)
-    if shots > MAX_RECORDS:
-        raise ValueError(
-            f"shots={shots} exceeds MAX_RECORDS={MAX_RECORDS} shot records; "
-            "use estimate_inequality, which keeps only outcome counts"
-        )
+    shots = _check_record_shots(shots)
     seed = _checked_int("seed", seed)
     outcomes = sample_outcomes(sequence_distribution(rho, spec), shots, seed)
     outcomes.flags.writeable = False

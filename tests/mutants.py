@@ -168,10 +168,11 @@ MUTANTS = (
            "0.0 if self.estimate == self.exact else math.inf",
            "0.0",
            ("test_cli.py::TestSample::test_infinite_z_is_null",)),
-    # Every odd-Y string's entries change sign (i for -i).
-    Mutant("sign of i flipped in the entry table", "states.py",
-           "PHASES[(x & z).bit_count() % 4]",
+    # Every string with an odd number of Ys changes the sign of its
+    # coefficient (i for -i).
+    Mutant("sign of i flipped in the phase table", "states.py",
            "PHASES[-(x & z).bit_count() % 4]",
+           "PHASES[(x & z).bit_count() % 4]",
            ("test_states.py",)),
     # Coefficients with imaginary parts up to the whole tolerance pass, so
     # an entry of ρ − ρ† can reach twice it.
@@ -182,9 +183,21 @@ MUTANTS = (
     # Row stride 15 in the gather: the strings read entries of ρ other
     # than their own.
     Mutant("off-by-one row stride in the gather index", "states.py",
-           "gather = columns * 16 + np.arange(16)",
-           "gather = columns * 15 + np.arange(16)",
+           "gather = columns * 16 + np.arange(16)[:, None]",
+           "gather = columns * 15 + np.arange(16)[:, None]",
            ("test_states.py",)),
+    # ρ - EIGENVALUE_TOL·𝟙 is factored: every state with a zero eigenvalue,
+    # a pure one say, fails the factorization and is accepted by eigvalsh.
+    Mutant("shift sign flipped", "states.py",
+           "np.linalg.cholesky(m + _POSITIVITY_SHIFT)",
+           "np.linalg.cholesky(m - _POSITIVITY_SHIFT)",
+           ("test_states.py::TestPositivity",)),
+    # A failed factorization refuses the state without asking eigvalsh, so a
+    # lowest eigenvalue at -EIGENVALUE_TOL, which the rule accepts, is refused.
+    Mutant("fallback refuses without eigvalsh", "states.py",
+           "lowest = float(np.linalg.eigvalsh(m)[0])",
+           "lowest = -np.inf",
+           ("test_states.py::TestPositivity",)),
     # A label of any nonzero letter count parses, so "ZZ" reads as ZZII.
     Mutant("from_label accepts any letter count", "pauli.py",
            "if len(letters) != 4:",

@@ -1,6 +1,7 @@
 """Tests for the density-operator engine."""
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -16,7 +17,7 @@ from bellsquare import (
     pauli_mul,
 )
 
-from bellsquare.states import HERMITICITY_TOL
+from bellsquare.states import EIGENVALUE_TOL, HERMITICITY_TOL
 
 from conftest import oracle_letter_stack, oracle_matrix, oracle_pauli_coefficients, seeded_state
 
@@ -65,7 +66,8 @@ class TestDensityState:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (0, 1), (2, 1)])
     def test_rejects_non_finite_entry(self, value, entry):
-        # One bad entry in a valid state; the check runs before eigvalsh.
+        # One bad entry in a valid state; the check runs before the
+        # coefficients and the positivity check.
         m = np.array(four_qubit_state(0.5).matrix)
         m[entry] = value
         with pytest.raises(ValueError, match="non-finite"):
@@ -82,6 +84,60 @@ class TestDensityState:
 
     def test_repr_omits_matrix(self):
         assert repr(four_qubit_state(0.5)) == "DensityState(16x16)"
+
+
+def boundary_matrix(seed: int, lowest: float, rank_two: bool) -> np.ndarray:
+    """A Hermitian unit-trace 16×16 matrix in a random eigenbasis whose
+    lowest eigenvalue is ``lowest``; the rest of the trace sits on one
+    eigenvalue (``rank_two``) or on 15 random ones."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    weights = np.eye(15)[0] if rank_two else rng.dirichlet(np.ones(15))
+    m = (q * np.concatenate(([lowest], (1 - lowest) * weights))) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestPositivity:
+    # Positivity is a Cholesky factorization of ρ + EIGENVALUE_TOL·𝟙, and
+    # eigvalsh decides only when it fails.  A lowest eigenvalue a thousandth
+    # of the tolerance inside or outside -EIGENVALUE_TOL is far from
+    # rounding, so both must give eigvalsh's verdict, and a refusal names
+    # eigvalsh's lowest eigenvalue.
+    @pytest.mark.parametrize("rank_two", [False, True], ids=["full_rank", "rank_two"])
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3], ids=["inside", "outside"])
+    def test_matches_eigvalsh_rule_at_the_tolerance(self, factor, rank_two):
+        for seed in range(100):
+            m = boundary_matrix(seed, -EIGENVALUE_TOL * factor, rank_two)
+            lowest = float(np.linalg.eigvalsh(m)[0])
+            assert (lowest >= -EIGENVALUE_TOL) == (factor < 1)
+            if factor < 1:
+                DensityState(m)
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"negative eigenvalue {lowest}")):
+                    DensityState(m)
+
+    def test_eigenvalue_at_the_tolerance_is_accepted_by_eigvalsh(self, monkeypatch):
+        # ρ + EIGENVALUE_TOL·𝟙 has an exact zero pivot, so the factorization
+        # fails; eigvalsh returns -EIGENVALUE_TOL, which the rule accepts.
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        DensityState(np.diag([0.5 + EIGENVALUE_TOL, 0.5, -EIGENVALUE_TOL] + [0.0] * 13))
+        assert len(calls) == 1
+
+    def test_valid_states_never_reach_eigvalsh(self, monkeypatch):
+        matrices = [seeded_state(kind, param).matrix
+                    for kind, params in [("full_rank", range(60, 70)), ("pure", range(70, 80)),
+                                         ("trace_edge", (0.0, 0.5))]
+                    for param in params]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a valid state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        for v in WERNER_GRID:
+            four_qubit_state(v)
+        for m in matrices:
+            DensityState(m)
 
 
 class TestPauliCoefficients:
