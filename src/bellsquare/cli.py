@@ -232,7 +232,9 @@ def cmd_hv_bound(args) -> tuple[dict, bool]:
 
 
 def cmd_sweep(args) -> tuple[dict, bool]:
-    result = sweep(args.grid_points)  # parsed and checked once, by _validate
+    # Parsed and checked by _validate, so a bad grid is a usage error;
+    # sweep() checks it again, as it checks every caller's grid.
+    result = sweep(args.grid_points)
     rows = [{"visibility": v, **{name: getattr(r, name) for name in _VALUES}}
             for v, r in zip(result.grid, result.reports)]
     chi_measured = result.reports[0].chi

@@ -33,14 +33,18 @@ models in blocks of 2^16.  An index splits into a block number (bits 16
 and up) and a 16-bit offset; the term's offset bits select an int8 ±1
 parity table over the 2^16 offsets (over the 2^9 models of the
 context-free layouts), built on first use and cached, and its block bits
-fold into one ±1 per block.  Block 0 sums every term's table.  Each later
-block is the block before it plus one step delta: only the terms whose
-block sign flips change, each by twice its table towards its new sign, and
-the step sums them into one int8 delta, cached by the flipped terms'
-directions and offset bits (26 distinct steps over the four full scans).
-So each block costs one add, and a step that flips no term yields the
-previous block again and keeps its maximum.  Every model's omega is still
-computed.  The kernel returns the maximum with its lowest attaining
+fold into one ±1 per block.  Each layout and variant has one block plan,
+built on first use and cached.  It holds block 0, the sum of every term's
+table, and for each later block one of two things.  A block whose terms
+all carry the same block signs as in an earlier block repeats the lowest
+such block: its values are exactly that block's.  Any other block is the
+block before it plus one int8 step delta, twice the signed sum of the
+tables of the terms whose block sign flips, cached by the flipped terms'
+directions and offset bits (25 distinct deltas over the four full scans).
+So each distinct block costs one add and one maximum, and a repeat costs
+neither: the 2^24 abs scan computes 2 of its 256 blocks, the 2^21 abs
+scan 1 of 32, and the signed scans every block.  Every model's omega is
+still covered.  The kernel returns the maximum with its lowest attaining
 indices.  One routine, ``_bound``, builds every bound from it: one pass
 over all of a layout's models returns the maximum and its own lowest
 witnesses, which ``_bound`` decodes.  So no model is scanned twice,
@@ -302,59 +306,95 @@ def _step_delta(step: tuple[tuple[int, tuple[int, ...]], ...]) -> np.ndarray:
     return delta
 
 
-def _omega_blocks(layout: _Layout, variant: str):
-    """Yield (first index, omega of its models) for each whole block of
-    ``layout``: one block of all 2^n_bits models when the layout is
-    smaller than ``_BLOCK``, else blocks of ``_BLOCK`` models.
+class _Plan(NamedTuple):
+    """How ``_omega_blocks`` builds each block of one layout and variant."""
 
-    The first block sums every term's parity table.  Each later block is
-    the block before it plus one cached step delta: a term whose block
-    sign flips changes by twice its parity table, in the direction of its
-    new sign, and the step's terms are summed once into the delta.  So
-    every model is still evaluated, with one add per block.  A step that
-    flips no term yields the previous block again, the same array.  Each
-    block is built out of place and yielded read-only: it is never mutated
-    afterwards, and the next block is derived from it.
+    first: np.ndarray  # block 0, read-only
+    # For each later block in order: the cached int8 delta that derives it
+    # from the block before it, or the number of the earlier block whose
+    # values it repeats.
+    steps: tuple
+    kept: frozenset  # the numbers of the blocks that a later block repeats
+
+
+@cache
+def _plan(layout: _Layout, variant: str) -> _Plan:
+    """The block plan of ``layout``'s omega, built on first use and cached.
+
+    The first block sums every term's parity table.  A block's values are
+    fixed by the block signs of the terms with block-number bits, so a
+    block whose signs match an earlier block's repeats the lowest such
+    block.  Any other block is the block before it plus one step delta:
+    each term whose block sign flips changes by twice its parity table, in
+    the direction of its new sign.
     """
     terms = _split_terms(layout.chi if variant == "abs" else layout.chi + layout.s)
-    # Only a term with bits in the block number can change between blocks.
-    movable = [term for term in terms if term[2]]
     # Every deterministic correlator has |value| = 1, so S_abs = len(s).
     base = len(layout.s) if variant == "abs" else 0
     # A layout smaller than a block (the 2^9 ones) needs only its own offsets.
     size = min(_BLOCK, 1 << layout.n_bits)
     # |omega| <= 6 chi terms + 12 correlators = 18, so int8 cannot overflow.
-    values = np.full(size, base, dtype=np.int8)
+    first = np.full(size, base, dtype=np.int8)
     for sign, low, _ in terms:
         accumulate = np.add if sign > 0 else np.subtract
-        accumulate(values, _parity_table(low, size), out=values)
-    values.flags.writeable = False
-    yield 0, values
-    # The terms a step flips depend only on the block-number bits it flips.
-    movers = {}
+        accumulate(first, _parity_table(low, size), out=first)
+    first.flags.writeable = False
+    # Only a term with bits in the block number can change between blocks.
+    movable = [term for term in terms if term[2]]
+    previous = (1,) * len(movable)
+    seen = {previous: 0}
+    steps = []
     for start in range(_BLOCK, 1 << layout.n_bits, _BLOCK):
-        flipped = start ^ (start - _BLOCK)
-        if flipped not in movers:
-            movers[flipped] = [term for term in movable if _block_sign(flipped, term[2]) < 0]
-        # Each flipped term moves towards its sign in the new block.
-        step = tuple([(sign * _block_sign(start, high), low)
-                      for sign, low, high in movers[flipped]])
-        if step:
-            values = np.add(values, _step_delta(step))
+        signs = tuple(_block_sign(start, high) for _, _, high in movable)
+        if signs in seen:
+            steps.append(seen[signs])
+        else:
+            seen[signs] = start >> _BLOCK_BITS
+            # Each flipped term moves towards its sign in the new block.
+            steps.append(_step_delta(tuple(
+                (sign * new, low)
+                for (sign, low, _), new, old in zip(movable, signs, previous) if new != old)))
+        previous = signs
+    return _Plan(first, tuple(steps), frozenset(s for s in steps if isinstance(s, int)))
+
+
+def _omega_blocks(layout: _Layout, variant: str):
+    """Yield (first index, omega of its models, source) for each whole
+    block of ``layout``: one block of all 2^n_bits models when the layout
+    is smaller than ``_BLOCK``, else blocks of ``_BLOCK`` models.
+
+    The blocks follow ``_plan``: a repeated block is yielded as the same
+    array as the block that it repeats, and every other block is computed
+    with one add.  ``source`` is the number of the block whose values
+    these are, the block's own number when it is computed.  Only the
+    blocks that a later block repeats are kept.  Each block is built out
+    of place and yielded read-only: it is never mutated afterwards, and
+    the next block is derived from it.
+    """
+    plan = _plan(layout, variant)
+    values = plan.first
+    kept = {0: values}  # held by the plan anyway
+    yield 0, values, 0
+    for number, step in enumerate(plan.steps, 1):
+        if isinstance(step, int):
+            values, source = kept[step], step
+        else:
+            values, source = np.add(values, step), number
             values.flags.writeable = False
-        yield start, values
+            if number in plan.kept:
+                kept[number] = values
+        yield number << _BLOCK_BITS, values, source
 
 
 def _scan(layout: _Layout, variant: str, count: int = 1):
     """Max omega over every model of ``layout`` and its ``count`` lowest
     attaining indices."""
     best, found = -math.inf, []
-    previous = None
-    for first, values in _omega_blocks(layout, variant):
-        # A block yielded again unchanged keeps its maximum.
-        if values is not previous:
-            top = int(values.max())
-        previous = values
+    maxima = {}  # by source block: each distinct block's maximum is taken once
+    for first, values, source in _omega_blocks(layout, variant):
+        top = maxima.get(source)
+        if top is None:
+            top = maxima[source] = int(values.max())
         # Blocks ascend, so a block can only displace the witnesses with a
         # higher maximum, or append to them on a tie.
         if top > best:

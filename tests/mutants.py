@@ -63,10 +63,17 @@ MUTANTS = (
            "np.uint64(0xBF58476D1CE4E5B9)",
            "np.uint64(0xBF58476D1CE4E5B7)",
            ("test_sequences.py",)),
-    # The incremental scan skips the step add into block 251 of 2^24.
+    # The incremental scan skips the step add into block 251 of 2^24, so
+    # that block is yielded with block 250's values.
     Mutant("scan skips the update into block 251", "hv_models.py",
-           "if step:",
-           "if step and start != 251 * _BLOCK:",
+           "values, source = np.add(values, step), number",
+           "values, source = (values if number == 251 else np.add(values, step)), number",
+           ("test_hv_models.py",)),
+    # A repeated block is yielded with the values of the block just before
+    # it, not of the earlier block that it repeats.
+    Mutant("repeated block reads the block just before it", "hv_models.py",
+           "values, source = kept[step], step",
+           "source = step",
            ("test_hv_models.py",)),
     # The kernel stops one block short, so the last 2^16 models of every
     # layout larger than a block are never scanned.
@@ -80,9 +87,9 @@ MUTANTS = (
            "delta = sum(",
            ("test_hv_models.py",)),
     # Every block after the first is scanned with the first block's maximum.
-    Mutant("scan keeps the previous maximum after a changed block", "hv_models.py",
-           "if values is not previous:",
-           "if previous is None:",
+    Mutant("scan keeps the first block's maximum after a changed block", "hv_models.py",
+           "top = maxima.get(source)",
+           "top = maxima.get(0)",
            ("test_hv_models.py",)),
     # Every bound is scanned for one witness only, so a bound with more
     # than one witness returns too few.

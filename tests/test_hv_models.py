@@ -32,13 +32,16 @@ from bellsquare.hv_models import (
     N_MODELS,
     N_RELAXED_MODELS,
     _BLOCK,
+    _BLOCK_BITS,
     _CONSTRAINED,
     _MODEL_BIT,
     _RELAXED,
     _context_free_layout,
     _omega_blocks,
     _parity_table,
+    _plan,
     _scan,
+    _split_terms,
     _step_delta,
 )
 from conftest import (
@@ -69,7 +72,7 @@ def block_values(layout, variant) -> np.ndarray:
     """Omega of every model of ``layout`` from the block kernel, in index
     order; read-only, built once per (layout, variant)."""
     firsts, blocks = [], []
-    for first, values in _omega_blocks(layout, variant):
+    for first, values, _ in _omega_blocks(layout, variant):
         firsts.append(first)
         blocks.append(values)
     assert firsts == sorted(firsts) and sum(map(len, blocks)) == 1 << layout.n_bits
@@ -440,7 +443,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("variant", ["signed", "abs"])
     def test_all_constrained_models_match_reference(self, variant):
-        for first, values in _omega_blocks(_CONSTRAINED, variant):
+        for first, values, _ in _omega_blocks(_CONSTRAINED, variant):
             idx = np.arange(first, first + len(values), dtype=np.uint32)
             assert np.array_equal(values, oracle_omega_values(idx, variant, _CONSTRAINED))
 
@@ -449,14 +452,15 @@ class TestBlockKernel:
         layout = _context_free_layout(labels)
         assert layout.n_bits == 9
         blocks = list(_omega_blocks(layout, "signed"))
-        assert [(first, len(values)) for first, values in blocks] == [(0, 512)]
+        assert [(first, len(values)) for first, values, _ in blocks] == [(0, 512)]
         idx = np.arange(512, dtype=np.uint32)
         assert np.array_equal(blocks[0][1], oracle_omega_values(idx, "signed", layout))
 
     @pytest.mark.parametrize("variant", ["signed", "abs"])
     def test_all_relaxed_models_match_reference(self, variant):
-        # Every block after the first is derived from the one before it.
-        for first, values in _omega_blocks(_RELAXED, variant):
+        # Every block after the first is derived from the one before it or
+        # repeats an earlier one.
+        for first, values, _ in _omega_blocks(_RELAXED, variant):
             assert not values.flags.writeable
             idx = np.arange(first, first + len(values), dtype=np.uint32)
             assert np.array_equal(values, oracle_omega_values(idx, variant, _RELAXED))
@@ -479,6 +483,8 @@ class TestBlockKernel:
             return _step_delta(step)
 
         monkeypatch.setattr(hv_models, "_step_delta", recording)
+        # A cached plan builds no delta, and this test would record no step.
+        _plan.cache_clear()
         for layout, variant in FULL_SCANS:
             _scan(layout, variant)
         assert steps
@@ -491,18 +497,53 @@ class TestBlockKernel:
 
     def test_step_delta_cache_stays_small(self):
         # Other layouts (the part maxima's, say) add steps of their own.
+        # Both caches: a cached plan builds no delta.
         _step_delta.cache_clear()
+        _plan.cache_clear()
         for layout, variant in FULL_SCANS:
             _scan(layout, variant)
-        # 19 + 2 distinct steps in the 2^24 scans, 5 + 0 in the 2^21 ones,
+        # 19 + 1 distinct steps in the 2^24 scans, 5 + 0 in the 2^21 ones,
         # each delta 64 KiB.
-        assert _step_delta.cache_info().currsize <= 26
+        assert _step_delta.cache_info().currsize <= 25
 
     def test_unchanged_blocks_are_yielded_again(self):
         # No chi term reads a Bob bit, so no abs term has a block-number bit.
-        blocks = [values for _, values in _omega_blocks(_CONSTRAINED, "abs")]
+        blocks = list(_omega_blocks(_CONSTRAINED, "abs"))
         assert len(blocks) == N_MODELS // _BLOCK == 32
-        assert all(values is blocks[0] for values in blocks)
+        assert all(values is blocks[0][1] and source == 0 for _, values, source in blocks)
+
+    @pytest.mark.parametrize("layout, variant, distinct", [
+        (_RELAXED, "abs", 2), (_RELAXED, "signed", 256),
+        (_CONSTRAINED, "abs", 1), (_CONSTRAINED, "signed", 32),
+    ], ids=["relaxed-abs", "relaxed-signed", "constrained-abs", "constrained-signed"])
+    def test_plan_computes_each_distinct_block_once(self, layout, variant, distinct):
+        # A block's values are fixed by the parities of its block number
+        # under the block-number masks of the movable terms, so the
+        # distinct blocks number 2^(GF(2) rank of those masks).
+        terms = _split_terms(layout.chi if variant == "abs" else layout.chi + layout.s)
+        basis = []
+        for mask in (high >> _BLOCK_BITS for _, _, high in terms if high):
+            for row in basis:
+                mask = min(mask, mask ^ row)
+            if mask:
+                basis.append(mask)
+        assert 2 ** len(basis) == distinct
+
+        plan = _plan(layout, variant)
+        repeats = {number: step for number, step in enumerate(plan.steps, 1)
+                   if isinstance(step, int)}
+        assert 1 + len(plan.steps) - len(repeats) == distinct
+        assert plan.kept == set(repeats.values())
+
+        @cache
+        def oracle_block(number):
+            first = number * _BLOCK
+            return oracle_omega_values(np.arange(first, first + _BLOCK, dtype=np.uint32),
+                                       variant, layout)
+
+        for number, earlier in repeats.items():
+            assert earlier < number
+            assert np.array_equal(oracle_block(earlier), oracle_block(number))
 
 
 class TestOmegaHistograms:
